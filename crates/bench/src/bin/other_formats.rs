@@ -12,11 +12,8 @@
 
 use mersit_core::parse_format;
 use mersit_nn::models::{efficientnet_b0_t, vgg_t, Model};
-use mersit_nn::{predict, synthetic_images, train_classifier, Ctx, Layer, TrainConfig};
-use mersit_ptq::{
-    calibrate, evaluate_format, quantize_weights_alt, AltAssignment, AltQuant, AltTap, Metric,
-    WeightSnapshot,
-};
+use mersit_nn::{predict, synthetic_images, train_classifier, TrainConfig};
+use mersit_ptq::{calibrate, AltQuant, Metric, QuantPlan};
 use mersit_tensor::{Rng, Tensor};
 
 /// The two §2.1 quantizers at the paper's comparison points.
@@ -29,23 +26,14 @@ const BFP8: AltQuant = AltQuant::Bfp {
     group: 16,
 };
 
-fn eval_alt(model: &mut Model, alt: AltQuant, inputs: &Tensor, labels: &[usize]) -> f64 {
-    let assign = AltAssignment::uniform(alt);
-    let snap = WeightSnapshot::capture(model);
-    quantize_weights_alt(model, &assign);
+/// Accuracy of a plan over serial 50-sample batches (the §2.1
+/// quantizers scale over each whole batch tensor).
+fn score(plan: &QuantPlan, model: &Model, inputs: &Tensor, labels: &[usize]) -> f64 {
     let n = inputs.shape()[0];
-    let mut preds = Vec::with_capacity(n);
-    let mut i = 0;
-    while i < n {
-        let hi = (i + 50).min(n);
-        let x = alt.apply(&inputs.slice_outer(i, hi));
-        let mut tap = AltTap::new(assign.clone());
-        let mut ctx = Ctx::with_tap(&mut tap);
-        let logits = model.net.forward(x, &mut ctx);
-        preds.extend(mersit_nn::argmax_rows(&logits));
-        i = hi;
-    }
-    snap.restore(model);
+    let preds: Vec<usize> = (0..n)
+        .step_by(50)
+        .flat_map(|lo| plan.predict_one_batch(model, inputs.slice_outer(lo, (lo + 50).min(n))))
+        .collect();
     Metric::Accuracy.score(&preds, labels)
 }
 
@@ -76,13 +64,11 @@ fn main() {
         let cal = calibrate(&model, &ds.calib.inputs, 32);
         let fp32_preds = predict(&mut model.net, &ds.test.inputs, 50);
         let fp32 = Metric::Accuracy.score(&fp32_preds, &ds.test.labels);
-        let fp84 = {
-            let fmt = parse_format("FP(8,4)").expect("valid");
-            let preds = evaluate_format(&mut model, fmt.as_ref(), &cal, &ds.test.inputs, 50);
-            Metric::Accuracy.score(&preds, &ds.test.labels)
-        };
-        let af = eval_alt(&mut model, ADAPTIVFLOAT, &ds.test.inputs, &ds.test.labels);
-        let bfp = eval_alt(&mut model, BFP8, &ds.test.inputs, &ds.test.labels);
+        let fp84 = QuantPlan::build(&model, parse_format("FP(8,4)").expect("valid"), &cal);
+        let af = QuantPlan::build_alt(&model, ADAPTIVFLOAT, &cal);
+        let bfp = QuantPlan::build_alt(&model, BFP8, &cal);
+        let [fp84, af, bfp] =
+            [fp84, af, bfp].map(|plan| score(&plan, &model, &ds.test.inputs, &ds.test.labels));
         println!("{name:<20} {fp32:>7.1} {fp84:>9.1} {af:>13.1} {bfp:>9.1}");
     }
     println!();

@@ -13,12 +13,12 @@
 //! measured buffers are identical either way: instrumentation only
 //! observes.
 //!
-//! The run also times the **full PTQ format sweep** both ways — the
-//! legacy serial string-path executor (snapshot → mutate → restore per
-//! format) against the compiled [`QuantPlan`] sweep, which walks formats
-//! in order and fans each one's batch shards and nested GEMMs out across
-//! the work-stealing pool — asserts the predictions are bit-identical,
-//! and records both wall-clocks under the `"sweep"` key of
+//! The run also times the **full PTQ format sweep** twice — the same
+//! compiled [`QuantPlan`] sweep (formats in order, a plan built and run
+//! per format) on a pool re-latched at one thread, and on the configured
+//! pool, which fans each format's batch shards and nested GEMMs out
+//! across the work-stealing threads — asserts the predictions are
+//! bit-identical, and records both wall-clocks under the `"sweep"` key of
 //! `BENCH_ptq.json`.
 //!
 //! With `--repeat R` the whole measurement runs `R` times and the JSON
@@ -29,8 +29,8 @@
 use mersit_core::{quantize_slice_scalar, table2_formats, Format, FormatRef, QuantLut};
 use mersit_nn::models::{mobilenet_v3_t, vgg_t};
 use mersit_nn::Model;
-use mersit_ptq::{calibrate, evaluate_format, QuantPlan};
-use mersit_tensor::{gemm, par, qgemm, Rng, Tensor};
+use mersit_ptq::{calibrate, Calibration, QuantPlan};
+use mersit_tensor::{gemm, par, pool, qgemm, Rng, Tensor};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -88,17 +88,17 @@ pub struct PerfRow {
 pub struct FormatSweep {
     /// Format name.
     pub format: String,
-    /// Serial leg seconds for this format (legacy executor).
+    /// Serial leg seconds for this format (plan build + predict on a
+    /// one-thread pool).
     pub serial_secs: f64,
     /// Parallel leg seconds for this format (plan build + predict, all
     /// pool parallelism inside the format).
     pub parallel_secs: f64,
 }
 
-/// Serial-vs-parallel wall-clock of the full PTQ format sweep — the
-/// before (string-path executor, one format at a time) and after
-/// (compiled `QuantPlan`s sharing one read-only model) of the
-/// plan refactor.
+/// Serial-vs-parallel wall-clock of the full PTQ format sweep: the same
+/// compiled `QuantPlan` sweep on a one-thread pool and on the configured
+/// pool.
 #[derive(Debug, Clone)]
 pub struct SweepBench {
     /// Models swept (each contributes to both legs).
@@ -110,15 +110,16 @@ pub struct SweepBench {
     /// Threads actually used: the persistent pool's size (workers +
     /// dispatcher), not just the requested `MERSIT_THREADS`.
     pub threads: usize,
-    /// Serial leg: legacy `evaluate_format` loop, summed over models.
-    pub serial_string_path_secs: f64,
+    /// Serial leg: `QuantPlan` sweep on a pool re-latched at one
+    /// thread, summed over models.
+    pub serial_plan_secs: f64,
     /// Parallel leg: `QuantPlan` sweep (formats in order, pool
     /// parallelism inside each), summed over models.
     pub parallel_plan_secs: f64,
     /// `serial / parallel`.
     pub speedup: f64,
     /// Median serial-leg seconds across repeats (equals
-    /// `serial_string_path_secs` for a single run).
+    /// `serial_plan_secs` for a single run).
     pub serial_secs_median: f64,
     /// Median parallel-leg seconds across repeats (equals
     /// `parallel_plan_secs` for a single run).
@@ -127,10 +128,42 @@ pub struct SweepBench {
     pub per_format: Vec<FormatSweep>,
 }
 
-/// Times the PTQ format sweep serially (legacy mutate-and-restore
-/// executor) and in parallel (compiled plans over a shared `&Model`),
-/// asserting along the way that both produce bit-identical predictions
-/// for every format × model pair.
+/// One sweep leg over one model: for each format in order, build its
+/// plan and predict the inputs. Returns each format's predictions and
+/// wall-clock seconds.
+fn plan_leg(
+    model: &Model,
+    formats: &[FormatRef],
+    cal: &Calibration,
+    inputs: &Tensor,
+    batch: usize,
+) -> Vec<(Vec<usize>, f64)> {
+    formats
+        .iter()
+        .map(|fmt| {
+            let t0 = Instant::now();
+            let plan = QuantPlan::build(model, fmt.clone(), cal);
+            let preds = plan.predict(model, inputs, batch);
+            (preds, t0.elapsed().as_secs_f64())
+        })
+        .collect()
+}
+
+/// Re-latches the worker pool at `threads` (`None` unsets
+/// `MERSIT_THREADS`, restoring the machine default): the next dispatch
+/// builds a fresh pool of that size.
+fn relatch_pool(threads: Option<&str>) {
+    match threads {
+        Some(t) => std::env::set_var("MERSIT_THREADS", t),
+        None => std::env::remove_var("MERSIT_THREADS"),
+    }
+    pool::shutdown();
+}
+
+/// Times the PTQ format sweep serially (the plan sweep on a pool
+/// re-latched at one thread) and in parallel (the same sweep on the
+/// configured pool), asserting along the way that both produce
+/// bit-identical predictions for every format × model pair.
 ///
 /// `quick` shrinks the grid (4 formats, smaller images/sample counts)
 /// for CI smoke runs. Untrained zoo weights are fine here: the sweep
@@ -139,7 +172,7 @@ pub struct SweepBench {
 ///
 /// # Panics
 ///
-/// Panics if the two executors disagree on any prediction.
+/// Panics if the two legs disagree on any prediction.
 pub fn run_sweep_bench(quick: bool) -> SweepBench {
     let _span = mersit_obs::span("bench.sweep");
     let mut formats: Vec<FormatRef> = table2_formats();
@@ -152,8 +185,9 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
         (10, 96, 32, 24)
     };
     let threads = par::pool_size();
+    let configured = std::env::var("MERSIT_THREADS").ok();
     let mut rng = Rng::new(0xBE7C);
-    let mut models = [vgg_t(hw, 10, &mut rng), mobilenet_v3_t(hw, 10, &mut rng)];
+    let models = [vgg_t(hw, 10, &mut rng), mobilenet_v3_t(hw, 10, &mut rng)];
     let calib = Tensor::randn(&[calib_n, 3, hw, hw], 1.0, &mut rng);
     let inputs = Tensor::randn(&[samples, 3, hw, hw], 1.0, &mut rng);
 
@@ -167,55 +201,40 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
             parallel_secs: 0.0,
         })
         .collect();
-    for model in &mut models {
+    for model in &models {
         let cal = calibrate(model, &calib, batch);
-        let serial_preds: Vec<Vec<usize>> = {
+        let serial = {
             let _leg = mersit_obs::span("bench.sweep.serial");
+            relatch_pool(Some("1"));
             let t0 = Instant::now();
-            let preds = formats
-                .iter()
-                .zip(&mut per_format)
-                .map(|(fmt, pf)| {
-                    let f0 = Instant::now();
-                    let preds = evaluate_format(model, fmt.as_ref(), &cal, &inputs, batch);
-                    pf.serial_secs += f0.elapsed().as_secs_f64();
-                    preds
-                })
-                .collect();
+            let preds = plan_leg(model, &formats, &cal, &inputs, batch);
             serial_secs += t0.elapsed().as_secs_f64();
+            relatch_pool(configured.as_deref());
             preds
         };
         // Formats run in order; all pool parallelism lives inside each
         // format (batch shards → nested GEMM tiles), so the per-format
         // wall-clock is a clean latency number, not a time-sliced share
         // of the machine.
-        let parallel_preds: Vec<(Vec<usize>, f64)> = {
+        let parallel = {
             let _leg = mersit_obs::span("bench.sweep.parallel");
             let t0 = Instant::now();
-            let shared: &Model = model;
-            let preds = formats
-                .iter()
-                .map(|fmt| {
-                    let s0 = Instant::now();
-                    let plan = QuantPlan::build(shared, fmt.clone(), &cal);
-                    let preds = plan.predict(shared, &inputs, batch);
-                    (preds, s0.elapsed().as_secs_f64())
-                })
-                .collect();
+            let preds = plan_leg(model, &formats, &cal, &inputs, batch);
             parallel_secs += t0.elapsed().as_secs_f64();
             preds
         };
-        for (((fmt, s), (p, secs)), pf) in formats
+        for (((fmt, (s, s_secs)), (p, p_secs)), pf) in formats
             .iter()
-            .zip(&serial_preds)
-            .zip(&parallel_preds)
+            .zip(&serial)
+            .zip(&parallel)
             .zip(&mut per_format)
         {
-            pf.parallel_secs += secs;
+            pf.serial_secs += s_secs;
+            pf.parallel_secs += p_secs;
             assert_eq!(
                 s,
                 p,
-                "executor mismatch for {} on {}",
+                "serial/parallel mismatch for {} on {}",
                 fmt.name(),
                 model.name
             );
@@ -227,7 +246,7 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
         formats: formats.len(),
         samples,
         threads,
-        serial_string_path_secs: serial_secs,
+        serial_plan_secs: serial_secs,
         parallel_plan_secs: parallel_secs,
         speedup: serial_secs / parallel_secs,
         serial_secs_median: serial_secs,
@@ -239,7 +258,7 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
         bench.models.len(),
         bench.formats,
         bench.samples,
-        bench.serial_string_path_secs,
+        bench.serial_plan_secs,
         bench.parallel_plan_secs,
         bench.speedup,
         bench.threads
@@ -645,12 +664,7 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
             }
         })
         .collect();
-    let serial = minimum(
-        reports
-            .iter()
-            .map(|r| r.sweep.serial_string_path_secs)
-            .collect(),
-    );
+    let serial = minimum(reports.iter().map(|r| r.sweep.serial_plan_secs).collect());
     let parallel = minimum(reports.iter().map(|r| r.sweep.parallel_plan_secs).collect());
     let per_format = (0..first.sweep.per_format.len())
         .map(|i| {
@@ -667,15 +681,10 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
         formats: first.sweep.formats,
         samples: first.sweep.samples,
         threads: first.sweep.threads,
-        serial_string_path_secs: serial,
+        serial_plan_secs: serial,
         parallel_plan_secs: parallel,
         speedup: serial / parallel,
-        serial_secs_median: median(
-            reports
-                .iter()
-                .map(|r| r.sweep.serial_string_path_secs)
-                .collect(),
-        ),
+        serial_secs_median: median(reports.iter().map(|r| r.sweep.serial_plan_secs).collect()),
         parallel_secs_median: median(reports.iter().map(|r| r.sweep.parallel_plan_secs).collect()),
         per_format,
     };
@@ -764,8 +773,8 @@ pub fn write_bench_json(report: &PerfReport, n: usize, scale: f64, repeats: usiz
     let _ = writeln!(json, "    \"threads\": {},", sweep.threads);
     let _ = writeln!(
         json,
-        "    \"serial_string_path_secs\": {:.4},",
-        sweep.serial_string_path_secs
+        "    \"serial_plan_secs\": {:.4},",
+        sweep.serial_plan_secs
     );
     let _ = writeln!(
         json,

@@ -184,40 +184,28 @@ mod tests {
 #[cfg(test)]
 mod consistency_tests {
     use super::*;
-    use crate::executor::QuantTap;
+    use crate::executor::QuantPlan;
     use mersit_core::parse_format;
     use mersit_nn::models::mobilenet_v3_t;
     use mersit_tensor::Rng;
     use std::collections::BTreeSet;
 
-    /// The quantized-inference tap must visit exactly the same activation
-    /// sites the calibration tap recorded — otherwise scales silently
-    /// go unused / unseen sites stay unquantized.
+    /// The quantized-inference forward must visit exactly the same
+    /// activation sites the calibration tap recorded — otherwise scales
+    /// silently go unused / unseen sites stay unquantized.
     #[test]
     fn quantized_inference_visits_calibrated_sites() {
-        struct Spy<'a> {
-            inner: QuantTap<'a>,
-            seen: BTreeSet<String>,
-        }
-        impl Tap for Spy<'_> {
-            fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-                self.seen.insert(site.path.to_owned());
-                self.inner.activation(site, t)
-            }
-        }
         let mut rng = Rng::new(8);
         let model = mobilenet_v3_t(8, 10, &mut rng);
         let x = Tensor::randn(&[4, 3, 8, 8], 1.0, &mut rng);
         let cal = calibrate(&model, &x, 2);
-        let fmt = parse_format("MERSIT(8,2)").unwrap();
-        let mut spy = Spy {
-            inner: QuantTap::new(fmt.as_ref(), &cal),
-            seen: BTreeSet::new(),
-        };
-        let mut ctx = Ctx::with_tap(&mut spy);
-        let _ = model.net.forward_ref(x, &mut ctx);
+        let plan = QuantPlan::build(&model, parse_format("MERSIT(8,2)").unwrap(), &cal);
+        let mut seen = BTreeSet::new();
+        let _ = plan.forward(&model, x, &mut |site, _| {
+            seen.insert(site.path.to_owned());
+        });
         let calibrated: BTreeSet<String> = cal.sites().iter().map(|(_, p)| p.to_owned()).collect();
-        assert_eq!(spy.seen, calibrated, "tap site mismatch");
-        assert!(spy.seen.len() > 20, "nontrivial site count");
+        assert_eq!(seen, calibrated, "tap site mismatch");
+        assert!(seen.len() > 20, "nontrivial site count");
     }
 }

@@ -16,13 +16,14 @@
 //!
 //! # How a co-verification run works
 //!
-//! For each batch, the float plan runs first with a recording tap that
-//! stores every activation tensor *as it arrives* at a tap site (before
-//! fake-quantization). The bit-true plan then runs with a comparing tap
-//! that diffs its own incoming activations against the recording, site by
-//! site, before quantizing and continuing — so each site's statistic
-//! measures the divergence the preceding layers accumulated. Logit
-//! divergence and argmax agreement are measured at the output.
+//! For each batch, the float plan runs first with an observer that
+//! records every activation tensor *as it arrives* at a tap site (before
+//! fake-quantization). The bit-true plan then runs with an observer that
+//! diffs its own incoming activations against the recording, site by
+//! site, while the plan quantizes and continues as usual — so each
+//! site's statistic measures the divergence the preceding layers
+//! accumulated. Logit divergence and argmax agreement are measured at the
+//! output.
 //!
 //! With `MERSIT_OBS` on, every site visit records its batch-max
 //! divergence into a `ptq.coverify.site.<path>` histogram, giving a
@@ -31,10 +32,8 @@
 use crate::assign::FormatAssignment;
 use crate::bittrue::Executor;
 use crate::calibrate::Calibration;
-use crate::executor::{quantize_site, QuantPlan};
-use crate::quantizer::quantize_tensor;
-use mersit_core::FormatRef;
-use mersit_nn::{argmax_rows, Ctx, Layer, Model, Site, Tap};
+use crate::executor::QuantPlan;
+use mersit_nn::{argmax_rows, Model};
 use mersit_tensor::Tensor;
 
 /// Accumulated activation divergence at one tap site.
@@ -111,59 +110,9 @@ struct SiteAgg {
     max_abs: f64,
 }
 
-/// The float pass's tap: stores each incoming (pre-quantization)
-/// activation, then quantizes exactly as the plan tap would — through the
-/// format each site resolves to under the plan's assignment.
-struct RecordTap<'a> {
-    fmts: &'a [FormatRef],
-    scales: &'a [Option<f64>],
-    recorded: Vec<Tensor>,
-}
-
-impl Tap for RecordTap<'_> {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        self.recorded.push(t.clone());
-        quantize_site(self.fmts[site.id.index()].as_ref(), self.scales, site, t)
-    }
-}
-
-/// The bit-true pass's tap: diffs each incoming activation against the
-/// float pass's recording (same visit order — the site table is the
-/// contract), then quantizes identically.
-struct CompareTap<'a> {
-    fmts: &'a [FormatRef],
-    scales: &'a [Option<f64>],
-    recorded: &'a [Tensor],
-    next: usize,
-    aggs: &'a mut [SiteAgg],
-}
-
-impl Tap for CompareTap<'_> {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        let reference = &self.recorded[self.next];
-        self.next += 1;
-        assert_eq!(
-            t.shape(),
-            reference.shape(),
-            "executors disagree on activation shape at {}",
-            site.path
-        );
-        let agg = &mut self.aggs[site.id.index()];
-        let mut visit_max = 0.0f64;
-        for (&a, &b) in t.data().iter().zip(reference.data()) {
-            let d = f64::from(a - b).abs();
-            agg.sum_abs += d;
-            visit_max = visit_max.max(d);
-        }
-        agg.elems += t.data().len() as u64;
-        agg.max_abs = agg.max_abs.max(visit_max);
-        mersit_obs::observe_dyn(|| format!("ptq.coverify.site.{}", site.path), visit_max);
-        quantize_site(self.fmts[site.id.index()].as_ref(), self.scales, site, t)
-    }
-}
-
-/// Runs both executors of an assignment (a plain [`FormatRef`] converts
-/// into a uniform one) over `inputs` and returns the divergence report.
+/// Runs both executors of an assignment (a plain
+/// [`mersit_core::FormatRef`] converts into a uniform one) over `inputs`
+/// and returns the divergence report.
 /// Batches run serially (the comparison needs the two passes' site-visit
 /// orders aligned). Mixed assignments diff each site under its own
 /// resolved format.
@@ -183,42 +132,46 @@ pub fn coverify(
     let assign = assign.into();
     let _span = mersit_obs::span("ptq.coverify");
     assert!(batch > 0, "batch size must be positive");
+    let format = assign.name();
     let float_plan = QuantPlan::build_with(model, assign.clone(), cal, Executor::Float);
     let bt_plan = QuantPlan::build_with(model, assign, cal, Executor::BitTrue);
     let n = inputs.shape()[0];
-    let mut aggs = vec![SiteAgg::default(); float_plan.sites.len()];
+    let mut aggs = vec![SiteAgg::default(); cal.sites().len()];
     let mut logits_max_abs = 0.0f64;
     let mut agree = 0usize;
     let mut i = 0;
     while i < n {
         let hi = (i + batch).min(n);
         let x = inputs.slice_outer(i, hi);
-        let x = match float_plan.input_scale {
-            Some(s) => quantize_tensor(float_plan.input_fmt.as_ref(), &x, s),
-            None => x,
-        };
 
-        let mut rec = RecordTap {
-            fmts: &float_plan.site_fmts,
-            scales: &float_plan.scales,
-            recorded: Vec::new(),
-        };
-        let mut ctx =
-            Ctx::compiled(&float_plan.sites, &mut rec).with_overrides(&float_plan.weights);
-        let logits_f = model.net.forward_ref(x.clone(), &mut ctx);
-        let recorded = rec.recorded;
+        let mut recorded = Vec::new();
+        let logits_f = float_plan.forward(model, x.clone(), &mut |_, t| {
+            recorded.push(t.clone());
+        });
 
-        let mut cmp = CompareTap {
-            fmts: &bt_plan.site_fmts,
-            scales: &bt_plan.scales,
-            recorded: &recorded,
-            next: 0,
-            aggs: &mut aggs,
-        };
-        let mut ctx = Ctx::compiled(&bt_plan.sites, &mut cmp).with_overrides(&bt_plan.weights);
-        let logits_b = model.net.forward_ref(x, &mut ctx);
+        let mut next = 0;
+        let logits_b = bt_plan.forward(model, x, &mut |site, t| {
+            let reference = &recorded[next];
+            next += 1;
+            assert_eq!(
+                t.shape(),
+                reference.shape(),
+                "executors disagree on activation shape at {}",
+                site.path
+            );
+            let agg = &mut aggs[site.id.index()];
+            let mut visit_max = 0.0f64;
+            for (&a, &b) in t.data().iter().zip(reference.data()) {
+                let d = f64::from(a - b).abs();
+                agg.sum_abs += d;
+                visit_max = visit_max.max(d);
+            }
+            agg.elems += t.data().len() as u64;
+            agg.max_abs = agg.max_abs.max(visit_max);
+            mersit_obs::observe_dyn(|| format!("ptq.coverify.site.{}", site.path), visit_max);
+        });
         assert_eq!(
-            cmp.next,
+            next,
             recorded.len(),
             "bit-true pass visited a different number of tap sites"
         );
@@ -234,8 +187,8 @@ pub fn coverify(
         i = hi;
     }
 
-    let sites = float_plan
-        .sites
+    let sites = cal
+        .sites()
         .iter()
         .filter(|(id, _)| aggs[id.index()].elems > 0)
         .map(|(id, path)| {
@@ -250,7 +203,7 @@ pub fn coverify(
         .collect();
     DivergenceReport {
         model: model.name.clone(),
-        format: float_plan.assignment().name(),
+        format,
         samples: n,
         sites,
         logits_max_abs,

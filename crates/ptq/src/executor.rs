@@ -1,15 +1,14 @@
 //! Fake-quantized inference: weights quantized per output channel,
-//! activations quantized per layer at every tap point, using the
-//! calibrated maxima as scaling parameters.
+//! activations quantized per layer at every tap point.
 //!
-//! Two executors share the same numerics:
-//!
-//! * the **legacy mutate-snapshot-restore path** ([`evaluate_format`]),
-//!   which quantizes the model's weights in place and restores them after;
-//! * the **compiled plan** ([`QuantPlan`]), which quantizes weights into
-//!   plan-owned tensors and runs shared-reference forwards with
-//!   weight overrides — so many formats can evaluate concurrently over
-//!   one read-only model, with batch shards inside each format.
+//! [`QuantPlan`] is the one PTQ executor. It compiles a model plus a
+//! quantizer choice into plan-owned quantized weights and one quantizer
+//! per activation site, then runs shared-reference forwards with weight
+//! overrides — so many plans evaluate concurrently over one read-only
+//! model, with batch shards inside each plan. Two quantizer families
+//! compile into it: the registry formats of Table 2, resolved per layer
+//! through a [`FormatAssignment`] and scaled by the calibrated maxima
+//! (§4.1), and the §2.1 [`AltQuant`] quantizers, which scale themselves.
 //!
 //! # Invariants
 //!
@@ -18,234 +17,126 @@
 //!   at calibration means a scale silently goes unused; a site seen only
 //!   at inference runs unquantized. Pinned by
 //!   `quantized_inference_visits_calibrated_sites` in `calibrate.rs`.
-//! * **The two executors are bit-identical.** A [`QuantPlan`] prediction
-//!   equals the legacy [`evaluate_format`] prediction exactly for every
-//!   format, because both run the same `forward_ref` code with the same
-//!   quantized tensors — one substituted in place, one via overrides.
-//!   Pinned by `tests/plan_matches_legacy.rs`.
-//! * **Weights round-trip exactly.** [`evaluate_format`] snapshots FP32
-//!   weights before quantizing and restores them bit-for-bit after, so
-//!   formats can be evaluated in sequence on one trained model.
+//! * **The plan matches an independent oracle.** A plan's predictions
+//!   equal, bit for bit, those of the minimal reference executor in
+//!   `tests/reference/mod.rs` — which quantizes the model's weights in
+//!   place and looks each site's scale up by path string, with no site
+//!   table, no overrides and no packing — for every Table 2 format and
+//!   both §2.1 quantizers. Pinned by `tests/plan_matches_reference.rs`.
+//! * **Whole-batch shards.** [`QuantPlan::predict`] shards on `batch`
+//!   boundaries, so it equals the serial [`QuantPlan::predict_one_batch`]
+//!   loop at any thread count — even for the §2.1 quantizers, whose
+//!   scales depend on every sample in the batch tensor.
 //! * **Rank rule.** Only rank-≥2 parameters are quantized; rank-1
 //!   parameters (biases, norm scale/shift) stay FP32, matching common
 //!   PTQ practice where they fold into the high-precision accumulator.
-//! * **Unseen sites pass through.** A tap whose calibrated maximum is 0
-//!   (never fired, or all-zero data) returns the tensor untouched rather
-//!   than dividing by a degenerate scale.
+//! * **Unseen sites pass through.** A format site whose calibrated
+//!   maximum is 0 (never fired, or all-zero data) passes the tensor
+//!   through untouched rather than dividing by a degenerate scale.
 //!
 //! # Observability
 //!
 //! With `MERSIT_OBS` on, every tap point records a `ptq.layer.<path>`
 //! span (the per-layer executor timings; the path string comes from the
-//! interned site table, never rebuilt per activation), and the pipeline
-//! phases record `ptq.quantize_weights` / `ptq.predict_quantized` /
-//! `ptq.plan.build` / `ptq.plan.predict` / `ptq.evaluate.<format>` spans.
-//! Instrumentation observes only — the quantized values are bit-identical
-//! with the toggle on or off.
+//! interned site table, never rebuilt per activation), and the plan
+//! records `ptq.plan.build` / `ptq.plan.predict` /
+//! `ptq.plan.predict_batch` spans. Instrumentation observes only — the
+//! quantized values are bit-identical with the toggle on or off.
 
 use crate::assign::FormatAssignment;
 use crate::bittrue::{Executor, QuantGemm};
 use crate::calibrate::{Calibration, INPUT_PATH};
-use crate::quantizer::{quantize_per_channel, quantize_tensor, scale_anchor, site_scale};
-use mersit_core::{Format, FormatRef};
+use crate::other_formats::AltQuant;
+use crate::quantizer::{quantize_per_channel, quantize_slice, scale_anchor, site_scale};
+use mersit_core::FormatRef;
 use mersit_nn::{argmax_rows, Ctx, InputKind, Layer, Model, PlanWeight, Site, SiteTable, Tap};
 use mersit_tensor::{par, Tensor};
 use std::sync::Arc;
 
-/// Snapshot of model weights for restore-after-quantization.
-#[derive(Debug, Default)]
-pub struct WeightSnapshot {
-    values: Vec<Tensor>,
+/// How one activation site, the network input, or one weight tensor
+/// quantizes.
+#[derive(Debug, Clone)]
+enum SiteQuant {
+    /// A registry format. Activations quantize per tensor at the
+    /// calibrated `scale` (`None` = unseen site, passes through); weights
+    /// quantize per output channel.
+    Format { fmt: FormatRef, scale: Option<f64> },
+    /// A §2.1 quantizer, choosing its own scale from each activation
+    /// tensor or weight channel.
+    Alt(AltQuant),
 }
 
-impl WeightSnapshot {
-    /// Captures all parameter values of a model.
-    #[must_use]
-    pub fn capture(model: &Model) -> Self {
-        let mut values = Vec::new();
-        model
-            .net
-            .visit_params_ref("", &mut |_, p| values.push(p.value.clone()));
-        Self { values }
-    }
-
-    /// Restores previously captured values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model structure changed since capture.
-    pub fn restore(&self, model: &mut Model) {
-        let mut i = 0;
-        model.net.visit_params("", &mut |_, p| {
-            p.value = self.values[i].clone();
-            i += 1;
-        });
-        assert_eq!(i, self.values.len(), "parameter count changed");
-    }
-}
-
-/// Quantizes all rank-≥2 parameters (conv kernels, linear weights,
-/// embedding tables) per output channel through `fmt`; rank-1 parameters
-/// (biases, normalization scale/shift) stay in FP32, matching common PTQ
-/// practice where they fold into the high-precision accumulator path.
-pub fn quantize_weights(model: &mut Model, fmt: &dyn Format) {
-    let _span = mersit_obs::span("ptq.quantize_weights");
-    model.net.visit_params("", &mut |_, p| {
-        if p.value.shape().len() >= 2 {
-            mersit_obs::incr("ptq.weights.tensors");
-            p.value = quantize_per_channel(fmt, &p.value);
+impl SiteQuant {
+    /// `fmt` at the scale calibrated from a site maximum.
+    fn calibrated(fmt: &FormatRef, max_abs: f32) -> Self {
+        Self::Format {
+            fmt: fmt.clone(),
+            scale: site_scale(scale_anchor(fmt.as_ref()), max_abs),
         }
-    });
-}
+    }
 
-/// The shared tap body: quantize through the site's calibrated scale, or
-/// pass through (counting the miss) when the site was unseen.
-pub(crate) fn quantize_site(
-    fmt: &dyn Format,
-    scales: &[Option<f64>],
-    site: Site<'_>,
-    t: Tensor,
-) -> Tensor {
-    // The per-layer executor timing: one span per tap visit, named after
-    // the layer path (resolved from the interned table, not rebuilt here).
-    let _span = mersit_obs::span_dyn(|| format!("ptq.layer.{}", site.path));
-    if let Some(s) = scales.get(site.id.index()).copied().flatten() {
-        quantize_tensor(fmt, &t, s)
-    } else {
-        mersit_obs::incr("ptq.layer.unseen_sites");
+    /// The activation seam: quantizes `t` in place.
+    fn activation(&self, mut t: Tensor) -> Tensor {
+        match self {
+            Self::Format {
+                fmt,
+                scale: Some(s),
+            } => quantize_slice(fmt.as_ref(), t.data_mut(), *s),
+            Self::Format { scale: None, .. } => mersit_obs::incr("ptq.layer.unseen_sites"),
+            Self::Alt(alt) => alt.quantize_slice(t.data_mut()),
+        }
         t
     }
-}
 
-/// The activation-quantizing tap, carrying per-site scales precompiled
-/// from the calibration maxima (one divide per site at construction, zero
-/// string handling per activation).
-pub struct QuantTap<'a> {
-    fmt: &'a dyn Format,
-    scales: Vec<Option<f64>>,
-}
-
-impl<'a> QuantTap<'a> {
-    /// Creates the tap over calibrated maxima.
-    #[must_use]
-    pub fn new(fmt: &'a dyn Format, cal: &Calibration) -> Self {
-        let anchor = scale_anchor(fmt);
-        let scales = cal
-            .site_maxima()
-            .iter()
-            .map(|&m| site_scale(anchor, m))
-            .collect();
-        Self { fmt, scales }
-    }
-}
-
-impl Tap for QuantTap<'_> {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        quantize_site(self.fmt, &self.scales, site, t)
-    }
-}
-
-/// Runs fake-quantized inference (weights already quantized in the model)
-/// and returns argmax predictions.
-pub fn predict_quantized(
-    model: &mut Model,
-    fmt: &dyn Format,
-    cal: &Calibration,
-    inputs: &Tensor,
-    batch: usize,
-) -> Vec<usize> {
-    let _span = mersit_obs::span("ptq.predict_quantized");
-    let n = inputs.shape()[0];
-    mersit_obs::add("ptq.predict.samples", n as u64);
-    let mut preds = Vec::with_capacity(n);
-    let input_scale = input_scale(model, fmt, cal);
-    let mut i = 0;
-    while i < n {
-        let hi = (i + batch).min(n);
-        let mut x = inputs.slice_outer(i, hi);
-        if let Some(s) = input_scale {
-            x = quantize_tensor(fmt, &x, s);
+    /// The weight path: quantizes a rank-≥2 parameter per output channel.
+    fn weight(&self, w: &Tensor) -> Tensor {
+        match self {
+            Self::Format { fmt, .. } => quantize_per_channel(fmt.as_ref(), w),
+            Self::Alt(alt) => alt.quantize_per_channel(w),
         }
-        let mut tap = QuantTap::new(fmt, cal);
-        let mut ctx = Ctx::with_tap(&mut tap);
-        let logits = model.net.forward_ref(x, &mut ctx);
-        preds.extend(argmax_rows(&logits));
-        i = hi;
-    }
-    preds
-}
-
-/// Input-tensor quantization scale: image inputs quantize through the
-/// calibrated input maximum; token-id inputs never quantize.
-fn input_scale(model: &Model, fmt: &dyn Format, cal: &Calibration) -> Option<f64> {
-    if model.input == InputKind::Image {
-        site_scale(scale_anchor(fmt), cal.input_max())
-    } else {
-        None
     }
 }
 
-/// Full PTQ evaluation of one format on one model: quantize weights,
-/// run quantized inference, restore the FP32 weights, return predictions.
-///
-/// This is the legacy serial executor; [`QuantPlan`] produces bit-identical
-/// predictions without ever mutating the model.
-pub fn evaluate_format(
-    model: &mut Model,
-    fmt: &dyn Format,
-    cal: &Calibration,
-    inputs: &Tensor,
-    batch: usize,
-) -> Vec<usize> {
-    let _span = mersit_obs::span_dyn(|| format!("ptq.evaluate.{}", fmt.name()));
-    let snap = WeightSnapshot::capture(model);
-    quantize_weights(model, fmt);
-    let preds = predict_quantized(model, fmt, cal, inputs, batch);
-    snap.restore(model);
-    preds
-}
-
-/// A compiled, immutable evaluation plan for one (model, assignment)
-/// pair: plan-owned quantized weight slots (rank-≥2, in parameter-visit
-/// order) plus dense per-site activation scales — each weight and site
-/// quantized through the format its path resolves to under the plan's
-/// [`FormatAssignment`] (a uniform assignment reproduces the historical
-/// single-format plan bit for bit). GEMM-rhs weights (Linear / im2col
-/// Conv2d) are additionally pre-packed into cache-blocked panels at build
-/// time — once per assignment, not once per sample. Building the plan
-/// never mutates the model, and [`QuantPlan::predict`] needs only `&`
-/// access — so plans for different assignments run concurrently over one
-/// model, and batch shards run concurrently inside one plan.
+/// A compiled, immutable evaluation plan for one (model, quantizer
+/// choice) pair: plan-owned quantized weight slots (rank-≥2, in
+/// parameter-visit order) plus one quantizer per activation site — each
+/// weight and site quantized through the format its path resolves to
+/// under the plan's [`FormatAssignment`] (a uniform assignment reproduces
+/// the historical single-format plan bit for bit), or through one §2.1
+/// [`AltQuant`]. GEMM-rhs weights (Linear / im2col Conv2d) are
+/// additionally pre-packed into cache-blocked panels at build time —
+/// once per plan, not once per sample. Building the plan never mutates
+/// the model, and [`QuantPlan::predict`] needs only `&` access — so plans
+/// run concurrently over one model, and batch shards run concurrently
+/// inside one plan.
 #[derive(Debug)]
 pub struct QuantPlan {
-    pub(crate) assign: FormatAssignment,
-    pub(crate) weights: Vec<PlanWeight>,
-    /// Per-site resolved formats, in [`SiteTable`] id order.
-    pub(crate) site_fmts: Vec<FormatRef>,
-    pub(crate) scales: Vec<Option<f64>>,
-    pub(crate) sites: SiteTable,
-    /// The format the network input quantizes through
-    /// ([`crate::INPUT_PATH`] resolution).
-    pub(crate) input_fmt: FormatRef,
-    pub(crate) input_scale: Option<f64>,
+    /// `None` for a §2.1 plan.
+    assign: Option<FormatAssignment>,
+    weights: Vec<PlanWeight>,
+    sites: SiteTable,
+    /// Per-site quantizers, in [`SiteTable`] id order.
+    quants: Vec<SiteQuant>,
+    /// The network input's quantizer ([`INPUT_PATH`] resolution); `None`
+    /// for token-id inputs, which never quantize.
+    input: Option<SiteQuant>,
     executor: Executor,
 }
 
-/// The plan's tap: same numerics as [`QuantTap`], borrowing the plan's
-/// precompiled per-site formats and scales.
+/// The plan's tap: shows each incoming activation to the observer, then
+/// quantizes it through its site's quantizer.
 struct PlanTap<'a> {
-    fmts: &'a [FormatRef],
-    scales: &'a [Option<f64>],
+    quants: &'a [SiteQuant],
+    observe: &'a mut dyn FnMut(Site<'_>, &Tensor),
 }
 
 impl Tap for PlanTap<'_> {
     fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        if let Some(f) = self.fmts.get(site.id.index()) {
-            quantize_site(f.as_ref(), self.scales, site, t)
-        } else {
-            mersit_obs::incr("ptq.layer.unseen_sites");
-            t
-        }
+        (self.observe)(site, &t);
+        // The per-layer executor timing: one span per tap visit, named
+        // after the layer path (resolved from the interned table).
+        let _span = mersit_obs::span_dyn(|| format!("ptq.layer.{}", site.path));
+        self.quants[site.id.index()].activation(t)
     }
 }
 
@@ -280,66 +171,78 @@ impl QuantPlan {
         executor: Executor,
     ) -> Self {
         let assign = assign.into();
+        let plan = Self::compile(model, cal, executor, |path, max_abs| {
+            SiteQuant::calibrated(assign.format_for(path), max_abs)
+        });
+        Self {
+            assign: Some(assign),
+            ..plan
+        }
+    }
+
+    /// Compiles a §2.1 plan: every weight (per output channel), activation
+    /// site and image input quantizes through `alt`. §2.1 plans run on the
+    /// float executor only — the bit-true engines exist for registry
+    /// formats.
+    #[must_use]
+    pub fn build_alt(model: &Model, alt: AltQuant, cal: &Calibration) -> Self {
+        Self::compile(model, cal, Executor::Float, |_, _| SiteQuant::Alt(alt))
+    }
+
+    /// The shared build: `quant_for(path, calibrated_max)` picks each
+    /// weight's, site's and the input's quantizer. Weights pass a maximum
+    /// of 0: they scale per output channel, never by a calibrated site
+    /// maximum.
+    fn compile(
+        model: &Model,
+        cal: &Calibration,
+        executor: Executor,
+        quant_for: impl Fn(&str, f32) -> SiteQuant,
+    ) -> Self {
         let _span = mersit_obs::span("ptq.plan.build");
         let mut weights = Vec::new();
         model.net.visit_params_ref("", &mut |path, p| {
-            if p.value.shape().len() >= 2 {
-                mersit_obs::incr("ptq.weights.tensors");
-                let fmt = assign.format_for(path);
-                let q = quantize_per_channel(fmt.as_ref(), &p.value);
-                weights.push(if p.gemm_rhs && q.shape().len() == 2 {
-                    if executor == Executor::BitTrue {
-                        mersit_obs::incr("ptq.bittrue.engines");
-                        let engine = QuantGemm::build(fmt.clone(), &p.value);
-                        PlanWeight::with_bit_true(q, Arc::new(engine))
-                    } else {
-                        PlanWeight::packed_rhs(q)
-                    }
-                } else {
-                    PlanWeight::plain(q)
-                });
+            if p.value.shape().len() < 2 {
+                return;
             }
+            mersit_obs::incr("ptq.weights.tensors");
+            let quant = quant_for(path, 0.0);
+            let q = quant.weight(&p.value);
+            weights.push(if p.gemm_rhs && q.shape().len() == 2 {
+                match quant {
+                    SiteQuant::Format { fmt, .. } if executor == Executor::BitTrue => {
+                        mersit_obs::incr("ptq.bittrue.engines");
+                        let engine = QuantGemm::build(fmt, &p.value);
+                        PlanWeight::with_bit_true(q, Arc::new(engine))
+                    }
+                    _ => PlanWeight::packed_rhs(q),
+                }
+            } else {
+                PlanWeight::plain(q)
+            });
         });
         let sites = cal.sites().clone();
-        let site_fmts: Vec<FormatRef> = sites
+        let quants = sites
             .iter()
-            .map(|(_, path)| assign.format_for(path).clone())
+            .map(|(id, path)| quant_for(path, cal.max_of(id)))
             .collect();
-        let scales = cal
-            .site_maxima()
-            .iter()
-            .zip(&site_fmts)
-            .map(|(&m, f)| site_scale(scale_anchor(f.as_ref()), m))
-            .collect();
-        let input_fmt = assign.format_for(INPUT_PATH).clone();
-        let input_scale = if model.input == InputKind::Image {
-            site_scale(scale_anchor(input_fmt.as_ref()), cal.input_max())
-        } else {
-            None
-        };
+        let input =
+            (model.input == InputKind::Image).then(|| quant_for(INPUT_PATH, cal.input_max()));
         Self {
-            assign,
+            assign: None,
             weights,
-            site_fmts,
-            scales,
             sites,
-            input_fmt,
-            input_scale,
+            quants,
+            input,
             executor,
         }
     }
 
-    /// The assignment's default format (the only format of a uniform
-    /// plan). See [`QuantPlan::assignment`] for the full per-layer map.
+    /// The per-layer format assignment this plan quantizes through
+    /// (`None` for a §2.1 plan).
     #[must_use]
-    pub fn format(&self) -> &dyn Format {
-        self.assign.default_format().as_ref()
-    }
-
-    /// The per-layer format assignment this plan quantizes through.
-    #[must_use]
-    pub fn assignment(&self) -> &FormatAssignment {
-        &self.assign
+    pub fn assignment(&self) -> Option<&FormatAssignment> {
+        self.assign.as_ref()
     }
 
     /// The execution engine the plan was compiled for.
@@ -354,16 +257,28 @@ impl QuantPlan {
         self.weights.len()
     }
 
-    /// Runs one compiled batch: quantize the input (image models), then a
-    /// shared-reference forward with weight overrides and the plan tap.
-    fn predict_batch(&self, model: &Model, x: Tensor) -> Vec<usize> {
-        let x = match self.input_scale {
-            Some(s) => quantize_tensor(self.input_fmt.as_ref(), &x, s),
+    /// Runs one batch and returns its logits: quantize the input (image
+    /// models), then a shared-reference forward with weight overrides and
+    /// the plan tap. `observe` sees every activation as it arrives at a
+    /// tap site, before quantization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the forward consumes a different number of weight
+    /// overrides than the plan owns (a model/plan mismatch).
+    pub(crate) fn forward(
+        &self,
+        model: &Model,
+        x: Tensor,
+        observe: &mut dyn FnMut(Site<'_>, &Tensor),
+    ) -> Tensor {
+        let x = match &self.input {
+            Some(q) => q.activation(x),
             None => x,
         };
         let mut tap = PlanTap {
-            fmts: &self.site_fmts,
-            scales: &self.scales,
+            quants: &self.quants,
+            observe,
         };
         let mut ctx = Ctx::compiled(&self.sites, &mut tap).with_overrides(&self.weights);
         let logits = model.net.forward_ref(x, &mut ctx);
@@ -372,16 +287,21 @@ impl QuantPlan {
             self.weights.len(),
             "forward consumed a different number of weight overrides than the plan owns"
         );
-        argmax_rows(&logits)
+        logits
+    }
+
+    fn predict_batch(&self, model: &Model, x: Tensor) -> Vec<usize> {
+        argmax_rows(&self.forward(model, x, &mut |_, _| {}))
     }
 
     /// Runs one already-coalesced batch through the plan and returns the
     /// argmax prediction per sample — the serving layer's entry point: a
     /// dynamic batcher concatenates single-sample requests and runs one
-    /// forward here. Per-sample arithmetic never depends on batch-mates
-    /// (float taps scale per element with calibrated per-site scales;
-    /// bit-true GEMMs encode activations with per-row scales), so each
-    /// prediction is bit-identical to running that sample alone.
+    /// forward here. For format plans, per-sample arithmetic never
+    /// depends on batch-mates (float taps scale per element with
+    /// calibrated per-site scales; bit-true GEMMs encode activations with
+    /// per-row scales), so each prediction is bit-identical to running
+    /// that sample alone. §2.1 plans scale over the whole batch tensor.
     ///
     /// # Panics
     ///
@@ -393,10 +313,11 @@ impl QuantPlan {
         self.predict_batch(model, x)
     }
 
-    /// Fake-quantized inference through the plan, sharding whole batches
-    /// across `mersit_tensor::par` scoped threads. The evaluation forward
-    /// has no cross-sample reductions, so predictions are bit-identical
-    /// to the serial batch loop for every thread count.
+    /// Fake-quantized inference through the plan: consecutive `batch`-
+    /// sample slices (the last may be short), sharded across
+    /// `mersit_tensor::par` on whole-batch boundaries. Predictions are
+    /// bit-identical to the serial [`QuantPlan::predict_one_batch`] loop
+    /// over the same slices for every thread count.
     ///
     /// # Panics
     ///
@@ -407,16 +328,18 @@ impl QuantPlan {
         assert!(batch > 0, "batch size must be positive");
         let n = inputs.shape()[0];
         mersit_obs::add("ptq.predict.samples", n as u64);
-        let mut preds = vec![0usize; n];
-        par::par_chunks_mut(&mut preds, 1, batch, |s0, chunk| {
-            let mut i = 0;
-            while i < chunk.len() {
-                let hi = (i + batch).min(chunk.len());
-                let x = inputs.slice_outer(s0 + i, s0 + hi);
-                chunk[i..hi].copy_from_slice(&self.predict_batch(model, x));
-                i = hi;
+        // One `batch`-long unit per batch; the padding past `n` in the
+        // last unit is cut off below.
+        let mut preds = vec![0usize; n.div_ceil(batch) * batch];
+        par::par_chunks_mut(&mut preds, batch, 1, |b0, chunk| {
+            for (b, unit) in chunk.chunks_mut(batch).enumerate() {
+                let lo = (b0 + b) * batch;
+                let hi = (lo + batch).min(n);
+                let x = inputs.slice_outer(lo, hi);
+                unit[..hi - lo].copy_from_slice(&self.predict_batch(model, x));
             }
         });
+        preds.truncate(n);
         preds
     }
 }
@@ -431,50 +354,22 @@ mod tests {
     use mersit_tensor::Rng;
 
     #[test]
-    fn snapshot_restores_weights_exactly() {
-        let mut rng = Rng::new(1);
-        let mut model = vgg_t(12, 10, &mut rng);
-        let snap = WeightSnapshot::capture(&model);
-        let fmt = parse_format("FP(8,2)").unwrap();
-        quantize_weights(&mut model, fmt.as_ref());
-        // Weights changed...
-        let mut changed = false;
-        let mut i = 0;
-        model.net.visit_params("", &mut |_, p| {
-            if p.value.shape().len() >= 2 && p.value.data() != snap.values[i].data() {
-                changed = true;
-            }
-            i += 1;
-        });
-        assert!(changed);
-        // ...and restore brings them back.
-        snap.restore(&mut model);
-        let mut j = 0;
-        model.net.visit_params("", &mut |_, p| {
-            assert_eq!(p.value.data(), snap.values[j].data());
-            j += 1;
-        });
-    }
-
-    #[test]
     fn rank1_params_stay_fp32() {
+        // Only rank-≥2 parameters get a quantized plan slot; biases and
+        // norm scale/shift are read from the untouched model in FP32.
         let mut rng = Rng::new(2);
-        let mut model = vgg_t(12, 10, &mut rng);
-        let mut biases_before = Vec::new();
-        model.net.visit_params("", &mut |_, p| {
-            if p.value.shape().len() == 1 {
-                biases_before.push(p.value.clone());
-            }
-        });
-        let fmt = parse_format("INT8").unwrap();
-        quantize_weights(&mut model, fmt.as_ref());
-        let mut k = 0;
-        model.net.visit_params("", &mut |_, p| {
-            if p.value.shape().len() == 1 {
-                assert_eq!(p.value.data(), biases_before[k].data());
-                k += 1;
-            }
-        });
+        let model = vgg_t(12, 10, &mut rng);
+        let x = Tensor::randn(&[2, 3, 12, 12], 1.0, &mut rng);
+        let cal = calibrate(&model, &x, 2);
+        let mut ranks = Vec::new();
+        model
+            .net
+            .visit_params_ref("", &mut |_, p| ranks.push(p.value.shape().len()));
+        let plan = QuantPlan::build(&model, parse_format("INT8").unwrap(), &cal);
+        let quantized = ranks.iter().filter(|&&r| r >= 2).count();
+        assert!(quantized < ranks.len(), "vgg_t has rank-1 parameters");
+        assert_eq!(plan.num_weight_slots(), quantized);
+        assert!(plan.weights.iter().all(|w| w.value.shape().len() >= 2));
     }
 
     #[test]
@@ -487,7 +382,7 @@ mod tests {
         let cal = calibrate(&model, &x, 8);
         let fp = predict(&mut model.net, &x, 8);
         let fmt = parse_format("MERSIT(8,2)").unwrap();
-        let q = evaluate_format(&mut model, fmt.as_ref(), &cal, &x, 8);
+        let q = QuantPlan::build(&model, fmt, &cal).predict(&model, &x, 8);
         let agree = fp.iter().zip(&q).filter(|(a, b)| a == b).count();
         assert!(agree >= 12, "only {agree}/16 predictions agree");
     }
@@ -501,13 +396,13 @@ mod tests {
         let x = Tensor::randn(&[24, 3, 12, 12], 2.0, &mut rng);
         let cal = calibrate(&model, &x, 8);
         let fp = predict(&mut model.net, &x, 8);
-        let agree = |name: &str, model: &mut Model| {
+        let agree = |name: &str| {
             let fmt = parse_format(name).unwrap();
-            let q = evaluate_format(model, fmt.as_ref(), &cal, &x, 8);
+            let q = QuantPlan::build(&model, fmt, &cal).predict(&model, &x, 8);
             fp.iter().zip(&q).filter(|(a, b)| a == b).count()
         };
-        let good = agree("MERSIT(8,2)", &mut model);
-        let bad = agree("FP(8,2)", &mut model);
+        let good = agree("MERSIT(8,2)");
+        let bad = agree("FP(8,2)");
         assert!(good >= bad, "MERSIT {good} vs FP(8,2) {bad}");
     }
 

@@ -6,14 +6,13 @@
 //! This module implements both so that claim can be *measured* (see the
 //! `other_formats` bench binary) instead of assumed.
 //!
-//! Like the main pipeline's [`crate::FormatAssignment`], the §2.1
-//! quantizers are per-layer assignable: [`AltAssignment`] maps layer
-//! paths to an [`AltQuant`] choice (or FP32 pass-through) with the same
-//! longest-dotted-prefix resolution, and [`AltTap`] /
-//! [`quantize_weights_alt`] apply it to activations and weights.
+//! Both are [`AltQuant`] values: a §2.1 [`crate::QuantPlan`]
+//! (`QuantPlan::build_alt`) quantizes every weight per output channel and
+//! every activation site tensor-wide through one of them. Neither needs a
+//! calibrated scale — each picks its own from the data it quantizes — so
+//! their results depend on which samples share a batch tensor.
 
-use mersit_nn::{Layer, Model, Site, Tap};
-use mersit_tensor::Tensor;
+use mersit_tensor::{par, Tensor};
 
 /// AdaptivFloat quantization: sign + `exp_bits` exponent + `frac_bits`
 /// fraction, **no subnormals**, with a per-tensor integer exponent bias
@@ -26,17 +25,25 @@ use mersit_tensor::Tensor;
 /// (8-bit words, as compared in the paper).
 #[must_use]
 pub fn quantize_adaptivfloat(t: &Tensor, exp_bits: u32, frac_bits: u32) -> Tensor {
+    let mut out = t.clone();
+    adaptivfloat_slice(out.data_mut(), exp_bits, frac_bits);
+    out
+}
+
+/// [`quantize_adaptivfloat`] in place, with the bias chosen from the
+/// slice's own maximum.
+fn adaptivfloat_slice(xs: &mut [f32], exp_bits: u32, frac_bits: u32) {
     assert!((1..=6).contains(&exp_bits), "exp_bits out of range");
     assert_eq!(1 + exp_bits + frac_bits, 8, "must form an 8-bit word");
-    let max = f64::from(t.max_abs());
+    let max = f64::from(xs.iter().fold(0.0f32, |m, &x| m.max(x.abs())));
     if max == 0.0 {
-        return t.clone();
+        return;
     }
     // Choose the bias so the top exponent matches the data maximum.
     let e_top = max.log2().floor() as i32;
     let e_min = e_top - (1 << exp_bits) + 1;
     let fscale = f64::from(1u32 << frac_bits);
-    t.map(|x| {
+    let quantize = |x: f32| -> f32 {
         let xf = f64::from(x);
         if xf == 0.0 {
             return 0.0;
@@ -60,7 +67,12 @@ pub fn quantize_adaptivfloat(t: &Tensor, exp_bits: u32, frac_bits: u32) -> Tenso
         // Rounding up may carry into the next binade; cap at the max.
         let max_val = (2.0 - 1.0 / fscale) * 2f64.powi(e_top);
         (sign * q.min(max_val)) as f32
-    })
+    };
+    par::par_chunks_mut(xs, 1, par::min_units(4), |_, chunk| {
+        for v in chunk {
+            *v = quantize(*v);
+        }
+    });
 }
 
 /// Block-floating-point quantization: values are split into groups of
@@ -72,11 +84,17 @@ pub fn quantize_adaptivfloat(t: &Tensor, exp_bits: u32, frac_bits: u32) -> Tenso
 /// Panics if `group == 0` or `mant_bits` is not in `2..=15`.
 #[must_use]
 pub fn quantize_bfp(t: &Tensor, mant_bits: u32, group: usize) -> Tensor {
+    let mut out = t.clone();
+    bfp_slice(out.data_mut(), mant_bits, group);
+    out
+}
+
+/// [`quantize_bfp`] in place.
+fn bfp_slice(xs: &mut [f32], mant_bits: u32, group: usize) {
     assert!(group > 0, "empty group");
     assert!((2..=15).contains(&mant_bits), "mantissa width out of range");
-    let mut out = t.clone();
     let half = f64::from((1i32 << (mant_bits - 1)) - 1); // symmetric mantissa range
-    for chunk in out.data_mut().chunks_mut(group) {
+    for chunk in xs.chunks_mut(group) {
         let max = chunk.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         if max == 0.0 {
             continue;
@@ -89,7 +107,6 @@ pub fn quantize_bfp(t: &Tensor, mant_bits: u32, group: usize) -> Tensor {
             *v = (q * step) as f32;
         }
     }
-    out
 }
 
 /// One §2.1 alternative quantizer with its parameters.
@@ -114,129 +131,40 @@ pub enum AltQuant {
 }
 
 impl AltQuant {
-    /// Applies the quantizer tensor-wide (per-layer scaling).
-    #[must_use]
-    pub fn apply(&self, t: &Tensor) -> Tensor {
+    /// Quantizes a slice in place as one tensor (per-layer scaling: the
+    /// quantizer picks its scale from the whole slice).
+    pub fn quantize_slice(&self, xs: &mut [f32]) {
         match *self {
             AltQuant::AdaptivFloat {
                 exp_bits,
                 frac_bits,
-            } => quantize_adaptivfloat(t, exp_bits, frac_bits),
-            AltQuant::Bfp { mant_bits, group } => quantize_bfp(t, mant_bits, group),
+            } => adaptivfloat_slice(xs, exp_bits, frac_bits),
+            AltQuant::Bfp { mant_bits, group } => bfp_slice(xs, mant_bits, group),
         }
     }
 
-    /// Applies the quantizer per output channel (outermost dimension) —
-    /// the weight path, matching the main pipeline's per-channel scales.
-    /// BFP already groups internally, so it applies tensor-wide.
+    /// Quantizes per output channel (outermost dimension) — the weight
+    /// path, matching the main pipeline's per-channel scales. BFP already
+    /// groups internally, so it applies tensor-wide.
     ///
     /// # Panics
     ///
     /// Panics on rank-0 tensors.
     #[must_use]
-    pub fn apply_per_channel(&self, t: &Tensor) -> Tensor {
-        match *self {
+    pub fn quantize_per_channel(&self, t: &Tensor) -> Tensor {
+        let inner: usize = t.shape()[1..].iter().product();
+        let mut out = t.clone();
+        match self {
+            // `max(1)`: a zero-size channel means an empty tensor.
             AltQuant::AdaptivFloat { .. } => {
-                let oc = t.shape()[0];
-                let inner: usize = t.shape()[1..].iter().product();
-                let mut out = t.clone();
-                for c in 0..oc {
-                    let slice =
-                        Tensor::from_vec(t.data()[c * inner..(c + 1) * inner].to_vec(), &[inner]);
-                    let q = self.apply(&slice);
-                    out.data_mut()[c * inner..(c + 1) * inner].copy_from_slice(q.data());
+                for ch in out.data_mut().chunks_mut(inner.max(1)) {
+                    self.quantize_slice(ch);
                 }
-                out
             }
-            AltQuant::Bfp { .. } => self.apply(t),
+            AltQuant::Bfp { .. } => self.quantize_slice(out.data_mut()),
         }
+        out
     }
-}
-
-/// A per-layer map over the §2.1 quantizers, mirroring
-/// [`crate::FormatAssignment`]: every layer uses `default` unless an
-/// override's path is a dotted prefix (`None` = leave that layer FP32).
-#[derive(Debug, Clone)]
-pub struct AltAssignment {
-    default: AltQuant,
-    overrides: Vec<(String, Option<AltQuant>)>,
-}
-
-impl AltAssignment {
-    /// Every layer quantizes through `default`.
-    #[must_use]
-    pub fn uniform(default: AltQuant) -> Self {
-        Self {
-            default,
-            overrides: Vec::new(),
-        }
-    }
-
-    /// Overrides a layer (or parameter) path to `alt` — `None` leaves it
-    /// in FP32. Replaces any previous override for the same path.
-    #[must_use]
-    pub fn with_override(mut self, path: impl Into<String>, alt: Option<AltQuant>) -> Self {
-        let path = path.into();
-        self.overrides.retain(|(p, _)| *p != path);
-        self.overrides.push((path, alt));
-        self.overrides.sort_by(|a, b| a.0.cmp(&b.0));
-        self
-    }
-
-    /// Resolves the quantizer for a path: longest dotted-prefix override
-    /// wins, otherwise the default. `None` = pass through in FP32.
-    #[must_use]
-    pub fn alt_for(&self, path: &str) -> Option<AltQuant> {
-        let mut best: Option<&(String, Option<AltQuant>)> = None;
-        for ov in &self.overrides {
-            let (p, _) = ov;
-            let is_prefix = path == p
-                || (path.len() > p.len()
-                    && path.starts_with(p.as_str())
-                    && path.as_bytes()[p.len()] == b'.');
-            if is_prefix && best.is_none_or(|(bp, _)| p.len() > bp.len()) {
-                best = Some(ov);
-            }
-        }
-        best.map_or(Some(self.default), |(_, a)| *a)
-    }
-}
-
-/// An activation tap applying an [`AltAssignment`] at every site.
-#[derive(Debug, Clone)]
-pub struct AltTap {
-    assign: AltAssignment,
-}
-
-impl AltTap {
-    /// Tap over the given assignment.
-    #[must_use]
-    pub fn new(assign: AltAssignment) -> Self {
-        Self { assign }
-    }
-}
-
-impl Tap for AltTap {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        match self.assign.alt_for(site.path) {
-            Some(alt) => alt.apply(&t),
-            None => t,
-        }
-    }
-}
-
-/// Quantizes every rank-≥2 parameter in place through the assignment's
-/// per-layer quantizer choice (per output channel, like the main
-/// pipeline); rank-1 parameters and `None`-assigned layers stay FP32.
-/// Snapshot/restore with [`crate::WeightSnapshot`] around it.
-pub fn quantize_weights_alt(model: &mut Model, assign: &AltAssignment) {
-    model.net.visit_params("", &mut |path, p| {
-        if p.value.shape().len() >= 2 {
-            if let Some(alt) = assign.alt_for(path) {
-                p.value = alt.apply_per_channel(&p.value);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -246,38 +174,31 @@ mod tests {
     use mersit_tensor::Rng;
 
     #[test]
-    fn alt_assignment_resolves_like_format_assignment() {
-        let af = AltQuant::AdaptivFloat {
-            exp_bits: 4,
-            frac_bits: 3,
-        };
-        let bfp = AltQuant::Bfp {
-            mant_bits: 7,
-            group: 16,
-        };
-        let a = AltAssignment::uniform(af)
-            .with_override("0_conv", Some(bfp))
-            .with_override("2_linear", None);
-        assert_eq!(a.alt_for("0_conv.w"), Some(bfp));
-        assert_eq!(a.alt_for("0_convx"), Some(af));
-        assert_eq!(a.alt_for("2_linear"), None);
-        assert_eq!(a.alt_for("1_bn"), Some(af));
-    }
-
-    #[test]
-    fn alt_quant_apply_matches_free_functions() {
+    fn alt_quant_matches_free_functions() {
         let mut rng = Rng::new(9);
-        let t = Tensor::randn(&[64], 1.0, &mut rng);
+        let t = Tensor::randn(&[4, 16], 1.0, &mut rng);
         let af = AltQuant::AdaptivFloat {
             exp_bits: 4,
             frac_bits: 3,
         };
-        assert_eq!(af.apply(&t).data(), quantize_adaptivfloat(&t, 4, 3).data());
+        let mut xs = t.data().to_vec();
+        af.quantize_slice(&mut xs);
+        assert_eq!(xs, quantize_adaptivfloat(&t, 4, 3).data());
+        // Per channel: each row adapts its own bias.
+        let per_ch = af.quantize_per_channel(&t);
+        for c in 0..4 {
+            let row = t.slice_outer(c, c + 1);
+            let want = quantize_adaptivfloat(&row, 4, 3);
+            assert_eq!(per_ch.slice_outer(c, c + 1).data(), want.data());
+        }
         let bf = AltQuant::Bfp {
             mant_bits: 7,
             group: 16,
         };
-        assert_eq!(bf.apply(&t).data(), quantize_bfp(&t, 7, 16).data());
+        let mut xs = t.data().to_vec();
+        bf.quantize_slice(&mut xs);
+        assert_eq!(xs, quantize_bfp(&t, 7, 16).data());
+        assert_eq!(bf.quantize_per_channel(&t).data(), xs);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! two roundings of the scalar reference `acc[j] += av * b[j]`. A fused
 //! FMA (`_mm256_fmadd_ps`) would round once and diverge from
 //! [`crate::gemm::matmul_naive_rows`] in the last ulp — breaking
-//! `plan_matches_legacy` and the serving batcher's
+//! `plan_matches_reference` and the serving batcher's
 //! batched-equals-single-sample licensing invariant (small m takes the
 //! naive path, large m the packed path; they must agree bitwise). The
 //! vector win comes from width (16-lane panels), register tiling, and

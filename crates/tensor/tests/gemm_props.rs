@@ -5,7 +5,7 @@
 //! `Tensor::matmul`, `Tensor::matmul_packed`), the output must equal the
 //! serial i-k-j reference loop bit for bit. This is the invariant the
 //! whole PTQ test suite leans on — a single reordered addition here
-//! shows up as a prediction diff in `plan_matches_legacy`.
+//! shows up as a prediction diff in `plan_matches_reference`.
 
 use mersit_tensor::gemm::{self, PackedRhs, KC, MC, MR, NR};
 use mersit_tensor::simd::available_levels;
