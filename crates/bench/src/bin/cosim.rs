@@ -17,6 +17,7 @@ use mersit_core::hardware_formats;
 use mersit_hw::GoldenMac;
 use mersit_nn::models::vgg_t;
 use mersit_nn::{synthetic_images, train_classifier, TrainConfig};
+use mersit_obs::json;
 use mersit_ptq::{calibrate, coverify, dot_bit_true};
 use mersit_tensor::Rng;
 
@@ -102,15 +103,8 @@ fn main() {
     }
 
     // --- 4. Artifacts ------------------------------------------------------
-    let mut json = String::from("{\n\"reports\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        json.push_str(&r.to_json());
-        if i + 1 < reports.len() {
-            json.push_str(",\n");
-        }
-    }
-    json.push_str("]\n}\n");
-    std::fs::write("COSIM_report.json", &json).expect("write COSIM_report.json");
+    let json = json::block_obj([("reports", json::block_arr(reports.iter().map(|r| r.json())))]);
+    std::fs::write("COSIM_report.json", json.into_document()).expect("write COSIM_report.json");
     println!("\nwrote COSIM_report.json ({} formats)", reports.len());
 
     match mersit_obs::report::write_global_report("cosim") {

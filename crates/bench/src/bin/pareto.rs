@@ -22,12 +22,12 @@
 use mersit_core::{parse_format, FormatRef};
 use mersit_nn::models::{mobilenet_v3_t, vgg_t, Model};
 use mersit_nn::{synthetic_images, train_classifier, Optimizer, TrainConfig};
+use mersit_obs::json::{block_arr, block_obj, fixed, line_arr, line_obj, Value};
 use mersit_ptq::{
     evaluate_model, greedy_search, layer_macs, layer_sensitivity, pareto_front, Executor,
     FormatAssignment, Metric, ParetoPoint, SearchConfig,
 };
 use mersit_tensor::{par, Rng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One priced-and-scored uniform corner (or pinned assignment).
@@ -292,19 +292,17 @@ fn main() {
     }
 }
 
-fn write_uniform_entries(json: &mut String, points: &[UniformPoint]) {
-    for (i, u) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "        {{\"format\": \"{}\", \"accuracy\": {:.4}, \
-             \"area_um2_per_mac\": {:.4}, \"power_uw_per_mac\": {:.4}}}",
-            u.format, u.accuracy, u.area_um2, u.power_uw
-        );
-        json.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
+fn uniform_entries(points: &[UniformPoint]) -> Value {
+    block_arr(points.iter().map(|u| {
+        line_obj([
+            ("format", (&u.format).into()),
+            ("accuracy", fixed(u.accuracy, 4)),
+            ("area_um2_per_mac", fixed(u.area_um2, 4)),
+            ("power_uw_per_mac", fixed(u.power_uw, 4)),
+        ])
+    }))
 }
 
-/// Hand-rolled deterministic JSON, like the other bench artifacts.
 fn write_pareto_json(
     reports: &[ModelReport],
     quick: bool,
@@ -312,43 +310,35 @@ fn write_pareto_json(
     dot_len: usize,
     cache: &mersit_hw::MacCostCache,
 ) {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"dot_len\": {dot_len},");
-    let _ = writeln!(json, "  \"mac_sims\": {},", cache.misses());
-    let _ = writeln!(json, "  \"mac_cache_hits\": {},", cache.hits());
-    json.push_str("  \"models\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(json, "    {{\n      \"model\": \"{}\",", r.model);
-        let _ = writeln!(json, "      \"fp32\": {:.4},", r.fp32);
-        let _ = writeln!(json, "      \"table2_mersit\": {:.4},", r.table2_mersit);
-        json.push_str("      \"uniform\": [\n");
-        write_uniform_entries(&mut json, &r.uniform);
-        json.push_str("      ],\n      \"pinned\": [\n");
-        write_uniform_entries(&mut json, &r.pinned);
-        json.push_str("      ],\n      \"front\": [\n");
-        for (j, f) in r.front.iter().enumerate() {
-            let doms: Vec<String> = f.dominates.iter().map(|d| format!("\"{d}\"")).collect();
-            let _ = write!(
-                json,
-                "        {{\"assignment\": \"{}\", \"swaps\": {}, \"accuracy\": {:.4}, \
-                 \"area_um2_per_mac\": {:.4}, \"power_uw_per_mac\": {:.4}, \
-                 \"on_front\": {}, \"dominates\": [{}]}}",
-                f.point.assignment.name(),
-                f.point.swaps,
-                f.point.accuracy,
-                f.point.area_um2,
-                f.point.power_uw,
-                f.on_front,
-                doms.join(", ")
-            );
-            json.push_str(if j + 1 < r.front.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("      ]\n    }");
-        json.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_pareto.json", &json).expect("write BENCH_pareto.json");
+    let models = reports.iter().map(|r| {
+        let front = r.front.iter().map(|f| {
+            line_obj([
+                ("assignment", f.point.assignment.name().as_str().into()),
+                ("swaps", f.point.swaps.into()),
+                ("accuracy", fixed(f.point.accuracy, 4)),
+                ("area_um2_per_mac", fixed(f.point.area_um2, 4)),
+                ("power_uw_per_mac", fixed(f.point.power_uw, 4)),
+                ("on_front", f.on_front.into()),
+                ("dominates", line_arr(f.dominates.iter().map(Into::into))),
+            ])
+        });
+        block_obj([
+            ("model", (&r.model).into()),
+            ("fp32", fixed(r.fp32, 4)),
+            ("table2_mersit", fixed(r.table2_mersit, 4)),
+            ("uniform", uniform_entries(&r.uniform)),
+            ("pinned", uniform_entries(&r.pinned)),
+            ("front", block_arr(front)),
+        ])
+    });
+    let doc = block_obj([
+        ("quick", quick.into()),
+        ("threads", threads.into()),
+        ("dot_len", dot_len.into()),
+        ("mac_sims", cache.misses().into()),
+        ("mac_cache_hits", cache.hits().into()),
+        ("models", block_arr(models)),
+    ]);
+    std::fs::write("BENCH_pareto.json", doc.into_document()).expect("write BENCH_pareto.json");
     println!("wrote BENCH_pareto.json");
 }

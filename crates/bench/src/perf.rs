@@ -31,7 +31,6 @@ use mersit_nn::models::{mobilenet_v3_t, vgg_t};
 use mersit_nn::Model;
 use mersit_ptq::{calibrate, Calibration, QuantPlan};
 use mersit_tensor::{gemm, par, pool, qgemm, Rng, Tensor};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -702,112 +701,73 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
 ///
 /// Panics if the file cannot be written.
 pub fn write_bench_json(report: &PerfReport, n: usize, scale: f64, repeats: usize) {
-    let rows = &report.formats;
+    use mersit_obs::json::{block_arr, block_obj, fixed, float, line_arr, line_obj, sci};
     let sweep = &report.sweep;
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"elements\": {n},");
-    let _ = writeln!(json, "  \"threads\": {},", sweep.threads);
-    let _ = writeln!(json, "  \"scale\": {scale},");
-    let _ = writeln!(json, "  \"repeats\": {repeats},");
-    let _ = writeln!(json, "  \"simd_isa\": \"{}\",", mersit_core::simd_level());
-    json.push_str("  \"formats\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"format\": \"{}\", \"scalar_elems_per_sec\": {:.4e}, \
-             \"lut_elems_per_sec\": {:.4e}, \"lut_threads_elems_per_sec\": {:.4e}, \
-             \"lut_speedup\": {:.2}, \"threads_speedup\": {:.2}}}",
-            r.format,
-            r.scalar,
-            r.lut,
-            r.lut_threads,
-            r.lut / r.scalar,
-            r.lut_threads / r.scalar
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gemm\": [\n");
-    for (i, g) in report.gemm.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"shape\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_mflops\": {:.1}, \"packed_mflops\": {:.1}, \"speedup\": {:.2}}}",
-            g.shape, g.m, g.k, g.n, g.naive_mflops, g.packed_mflops, g.speedup
-        );
-        json.push_str(if i + 1 < report.gemm.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"qgemm\": [\n");
-    for (i, q) in report.qgemm.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"shape\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_mmacs\": {:.1}, \"packed_scalar_mmacs\": {:.1}, \
-             \"packed_simd_mmacs\": {:.1}, \"simd_speedup\": {:.2}}}",
-            q.shape,
-            q.m,
-            q.k,
-            q.n,
-            q.naive_mmacs,
-            q.packed_scalar_mmacs,
-            q.packed_simd_mmacs,
-            q.simd_speedup
-        );
-        json.push_str(if i + 1 < report.qgemm.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"sweep\": {\n");
-    let names: Vec<String> = sweep.models.iter().map(|m| format!("\"{m}\"")).collect();
-    let _ = writeln!(json, "    \"models\": [{}],", names.join(", "));
-    let _ = writeln!(json, "    \"formats\": {},", sweep.formats);
-    let _ = writeln!(json, "    \"samples\": {},", sweep.samples);
-    let _ = writeln!(json, "    \"threads\": {},", sweep.threads);
-    let _ = writeln!(
-        json,
-        "    \"serial_plan_secs\": {:.4},",
-        sweep.serial_plan_secs
-    );
-    let _ = writeln!(
-        json,
-        "    \"parallel_plan_secs\": {:.4},",
-        sweep.parallel_plan_secs
-    );
-    let _ = writeln!(json, "    \"speedup\": {:.2},", sweep.speedup);
-    let _ = writeln!(
-        json,
-        "    \"serial_secs_median\": {:.4},",
-        sweep.serial_secs_median
-    );
-    let _ = writeln!(
-        json,
-        "    \"parallel_secs_median\": {:.4},",
-        sweep.parallel_secs_median
-    );
-    json.push_str("    \"per_format\": [\n");
-    for (i, pf) in sweep.per_format.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"format\": \"{}\", \"serial_secs\": {:.4}, \"parallel_secs\": {:.4}}}",
-            pf.format, pf.serial_secs, pf.parallel_secs
-        );
-        json.push_str(if i + 1 < sweep.per_format.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n");
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_ptq.json", &json).expect("write BENCH_ptq.json");
+    let formats = report.formats.iter().map(|r| {
+        line_obj([
+            ("format", (&r.format).into()),
+            ("scalar_elems_per_sec", sci(r.scalar, 4)),
+            ("lut_elems_per_sec", sci(r.lut, 4)),
+            ("lut_threads_elems_per_sec", sci(r.lut_threads, 4)),
+            ("lut_speedup", fixed(r.lut / r.scalar, 2)),
+            ("threads_speedup", fixed(r.lut_threads / r.scalar, 2)),
+        ])
+    });
+    let gemm = report.gemm.iter().map(|g| {
+        line_obj([
+            ("shape", (&g.shape).into()),
+            ("m", g.m.into()),
+            ("k", g.k.into()),
+            ("n", g.n.into()),
+            ("naive_mflops", fixed(g.naive_mflops, 1)),
+            ("packed_mflops", fixed(g.packed_mflops, 1)),
+            ("speedup", fixed(g.speedup, 2)),
+        ])
+    });
+    let qgemm = report.qgemm.iter().map(|q| {
+        line_obj([
+            ("shape", (&q.shape).into()),
+            ("m", q.m.into()),
+            ("k", q.k.into()),
+            ("n", q.n.into()),
+            ("naive_mmacs", fixed(q.naive_mmacs, 1)),
+            ("packed_scalar_mmacs", fixed(q.packed_scalar_mmacs, 1)),
+            ("packed_simd_mmacs", fixed(q.packed_simd_mmacs, 1)),
+            ("simd_speedup", fixed(q.simd_speedup, 2)),
+        ])
+    });
+    let per_format = sweep.per_format.iter().map(|pf| {
+        line_obj([
+            ("format", (&pf.format).into()),
+            ("serial_secs", fixed(pf.serial_secs, 4)),
+            ("parallel_secs", fixed(pf.parallel_secs, 4)),
+        ])
+    });
+    let sweep_json = block_obj([
+        ("models", line_arr(sweep.models.iter().map(Into::into))),
+        ("formats", sweep.formats.into()),
+        ("samples", sweep.samples.into()),
+        ("threads", sweep.threads.into()),
+        ("serial_plan_secs", fixed(sweep.serial_plan_secs, 4)),
+        ("parallel_plan_secs", fixed(sweep.parallel_plan_secs, 4)),
+        ("speedup", fixed(sweep.speedup, 2)),
+        ("serial_secs_median", fixed(sweep.serial_secs_median, 4)),
+        ("parallel_secs_median", fixed(sweep.parallel_secs_median, 4)),
+        ("per_format", block_arr(per_format)),
+    ]);
+    let isa = mersit_core::simd_level().to_string();
+    let doc = block_obj([
+        ("elements", n.into()),
+        ("threads", sweep.threads.into()),
+        ("scale", float(scale)),
+        ("repeats", repeats.into()),
+        ("simd_isa", (&isa).into()),
+        ("formats", block_arr(formats)),
+        ("gemm", block_arr(gemm)),
+        ("qgemm", block_arr(qgemm)),
+        ("sweep", sweep_json),
+    ]);
+    std::fs::write("BENCH_ptq.json", doc.into_document()).expect("write BENCH_ptq.json");
     println!("wrote BENCH_ptq.json");
 }
 
@@ -837,14 +797,4 @@ pub fn run_perf_ptq_repeat(n: usize, quick: bool, repeats: usize) -> PerfReport 
         .fold(0.0f64, f64::max);
     println!("best single-threaded LUT speedup: {best:.1}x");
     agg
-}
-
-/// Single-measurement convenience wrapper around [`run_perf_ptq_repeat`]:
-/// runs the full sweep once, writes `BENCH_ptq.json`, returns the rows.
-///
-/// # Panics
-///
-/// Panics if `n < 2^20` or the JSON cannot be written.
-pub fn run_perf_ptq(n: usize, quick: bool) -> Vec<PerfRow> {
-    run_perf_ptq_repeat(n, quick, 1).formats
 }

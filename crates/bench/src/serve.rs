@@ -14,7 +14,6 @@ use mersit_ptq::{calibrate, Executor};
 use mersit_serve::{wire, NetConfig, Request, ServeConfig, Server};
 use mersit_tensor::{par, Rng, Tensor};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -672,78 +671,59 @@ pub fn run_serve_bench(quick: bool, net_addr: Option<&str>) -> ServeBenchReport 
 ///
 /// Panics if the file cannot be written.
 pub fn write_serve_json(report: &ServeBenchReport) {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"threads\": {},", report.threads);
-    let _ = writeln!(json, "  \"simd_isa\": \"{}\",", report.simd_isa);
-    let _ = writeln!(json, "  \"quick\": {},", report.quick);
-    let _ = writeln!(json, "  \"max_batch\": {},", report.max_batch);
-    let _ = writeln!(json, "  \"max_wait_us\": {},", report.max_wait_us);
-    let _ = writeln!(json, "  \"queue_depth\": {},", report.queue_depth);
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in report.runs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"model\": \"{}\", \"format\": \"{}\", \"executor\": \"{}\", \
-             \"mode\": \"{}\", \"offered\": {}, \"requests\": {}, \"completed\": {}, \
-             \"rejected\": {}, \"failed\": {}, \"unanswered\": {}, \
-             \"reqs_per_sec\": {:.2}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"mean_batch\": {:.2}}}",
-            r.model,
-            r.format,
-            r.executor,
-            r.mode,
-            r.offered,
-            r.requests,
-            r.completed,
-            r.rejected,
-            r.failed,
-            r.unanswered,
-            r.reqs_per_sec,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            r.mean_batch
-        );
-        json.push_str(if i + 1 < report.runs.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"net\": {\n");
-    let _ = writeln!(json, "    \"addr\": \"{}\",", report.net.addr);
-    let _ = writeln!(json, "    \"self_hosted\": {},", report.net.self_hosted);
-    json.push_str("    \"runs\": [\n");
-    for (i, r) in report.net.runs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"model\": \"{}\", \"format\": \"{}\", \"executor\": \"{}\", \
-             \"connections\": {}, \"pipeline\": {}, \"requests\": {}, \"completed\": {}, \
-             \"wire_errors\": {}, \"failed\": {}, \"unanswered\": {}, \
-             \"reqs_per_sec\": {:.2}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
-            r.model,
-            r.format,
-            r.executor,
-            r.connections,
-            r.pipeline,
-            r.requests,
-            r.completed,
-            r.wire_errors,
-            r.failed,
-            r.unanswered,
-            r.reqs_per_sec,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us
-        );
-        json.push_str(if i + 1 < report.net.runs.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  }\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
+    use mersit_obs::json::{block_arr, block_obj, fixed, line_obj};
+    let runs = report.runs.iter().map(|r| {
+        line_obj([
+            ("model", (&r.model).into()),
+            ("format", (&r.format).into()),
+            ("executor", (&r.executor).into()),
+            ("mode", (&r.mode).into()),
+            ("offered", r.offered.into()),
+            ("requests", r.requests.into()),
+            ("completed", r.completed.into()),
+            ("rejected", r.rejected.into()),
+            ("failed", r.failed.into()),
+            ("unanswered", r.unanswered.into()),
+            ("reqs_per_sec", fixed(r.reqs_per_sec, 2)),
+            ("p50_us", r.p50_us.into()),
+            ("p95_us", r.p95_us.into()),
+            ("p99_us", r.p99_us.into()),
+            ("mean_batch", fixed(r.mean_batch, 2)),
+        ])
+    });
+    let net_runs = report.net.runs.iter().map(|r| {
+        line_obj([
+            ("model", (&r.model).into()),
+            ("format", (&r.format).into()),
+            ("executor", (&r.executor).into()),
+            ("connections", r.connections.into()),
+            ("pipeline", r.pipeline.into()),
+            ("requests", r.requests.into()),
+            ("completed", r.completed.into()),
+            ("wire_errors", r.wire_errors.into()),
+            ("failed", r.failed.into()),
+            ("unanswered", r.unanswered.into()),
+            ("reqs_per_sec", fixed(r.reqs_per_sec, 2)),
+            ("p50_us", r.p50_us.into()),
+            ("p95_us", r.p95_us.into()),
+            ("p99_us", r.p99_us.into()),
+        ])
+    });
+    let net = block_obj([
+        ("addr", (&report.net.addr).into()),
+        ("self_hosted", report.net.self_hosted.into()),
+        ("runs", block_arr(net_runs)),
+    ]);
+    let doc = block_obj([
+        ("threads", report.threads.into()),
+        ("simd_isa", (&report.simd_isa).into()),
+        ("quick", report.quick.into()),
+        ("max_batch", report.max_batch.into()),
+        ("max_wait_us", report.max_wait_us.into()),
+        ("queue_depth", report.queue_depth.into()),
+        ("runs", block_arr(runs)),
+        ("net", net),
+    ]);
+    std::fs::write("BENCH_serve.json", doc.into_document()).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");
 }

@@ -3,7 +3,8 @@
 //! Spans (monotonic wall-clock timing), counters, and log2-bucketed
 //! histograms, recorded into a thread-safe [`Registry`] and serialized as
 //! a JSON [`RunReport`] — the artifact every perf/robustness study in
-//! this repository reports through.
+//! this repository reports through. The [`json`] module is the one JSON
+//! emitter behind that report and every other artifact writer.
 //!
 //! ## The `MERSIT_OBS` toggle
 //!
@@ -48,6 +49,7 @@
     clippy::missing_panics_doc
 )]
 
+pub mod json;
 pub mod registry;
 pub mod report;
 pub mod span;

@@ -1,6 +1,6 @@
 //! The JSON run-report sink: a [`RunReport`] snapshots a registry and
-//! serializes it in the same hand-rolled, dependency-free artifact style
-//! as `BENCH_ptq.json`.
+//! serializes it through the workspace's one JSON emitter
+//! ([`crate::json`]), like every other artifact.
 //!
 //! Schema (stable; the snapshot test in `tests/report_schema.rs` pins it):
 //!
@@ -20,8 +20,8 @@
 //! }
 //! ```
 
+use crate::json::{block_arr, block_obj, float, line_arr, line_obj};
 use crate::registry::{Registry, Snapshot, HIST_BIAS, N_HIST_BUCKETS};
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// Schema version stamped into every report.
@@ -53,72 +53,44 @@ impl RunReport {
 
     /// Renders the report as a JSON string (schema above).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
-        let _ = writeln!(out, "  \"bin\": \"{}\",", escape(&self.bin));
-
-        out.push_str("  \"spans\": [");
-        for (i, s) in self.snapshot.spans.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let snap = &self.snapshot;
+        let spans = snap.spans.iter().map(|s| {
             let mean = s.stats.total_ns as f64 / s.stats.count.max(1) as f64;
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \
-                 \"min_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}}",
-                escape(&s.name),
-                s.stats.count,
-                s.stats.total_ns,
-                s.stats.min_ns,
-                s.stats.max_ns,
-                json_f64(mean)
-            );
-        }
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"counters\": [");
-        for (i, c) in self.snapshot.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"value\": {}}}",
-                escape(&c.name),
-                c.value
-            );
-        }
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"histograms\": [");
-        for (i, h) in self.snapshot.histograms.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \
-                 \"min\": {}, \"max\": {}, \"buckets\": [",
-                escape(&h.name),
-                h.stats.count,
-                json_f64(h.stats.sum),
-                json_f64(h.stats.min),
-                json_f64(h.stats.max)
-            );
-            let mut first = true;
-            for (b, &count) in h.stats.buckets.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"le\": {}, \"count\": {count}}}",
-                    json_f64(bucket_upper_bound(b))
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            line_obj([
+                ("name", (&s.name).into()),
+                ("count", s.stats.count.into()),
+                ("total_ns", s.stats.total_ns.into()),
+                ("min_ns", s.stats.min_ns.into()),
+                ("max_ns", s.stats.max_ns.into()),
+                ("mean_ns", float(mean)),
+            ])
+        });
+        let counters = snap
+            .counters
+            .iter()
+            .map(|c| line_obj([("name", (&c.name).into()), ("value", c.value.into())]));
+        let histograms = snap.histograms.iter().map(|h| {
+            let buckets = h.stats.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+            let buckets = buckets.map(|(b, &n)| {
+                line_obj([("le", float(bucket_upper_bound(b))), ("count", n.into())])
+            });
+            line_obj([
+                ("name", (&h.name).into()),
+                ("count", h.stats.count.into()),
+                ("sum", float(h.stats.sum)),
+                ("min", float(h.stats.min)),
+                ("max", float(h.stats.max)),
+                ("buckets", line_arr(buckets)),
+            ])
+        });
+        block_obj([
+            ("version", REPORT_VERSION.into()),
+            ("bin", (&self.bin).into()),
+            ("spans", block_arr(spans)),
+            ("counters", block_arr(counters)),
+            ("histograms", block_arr(histograms)),
+        ])
+        .into_document()
     }
 
     /// Writes the JSON report to `path`.
@@ -154,61 +126,10 @@ fn bucket_upper_bound(i: usize) -> f64 {
     2f64.powi(i + 1 - HIST_BIAS)
 }
 
-/// JSON-legal rendering of an f64 (non-finite values become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Ensure a numeric token that JSON parsers keep as a float.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Escapes a metric name for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact powers of two, exact comparisons
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_f64_always_emits_a_float_token() {
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(1.5), "1.5");
-        // Rust's f64 Display never uses exponent notation; the integer
-        // rendering still gets a ".0" so parsers keep it a float.
-        assert!(json_f64(1e30).ends_with(".0"));
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\ny");
-    }
 
     #[test]
     fn empty_report_is_valid_shape() {

@@ -34,6 +34,7 @@ use crate::bittrue::Executor;
 use crate::calibrate::Calibration;
 use crate::executor::QuantPlan;
 use mersit_nn::{argmax_rows, Model};
+use mersit_obs::json;
 use mersit_tensor::Tensor;
 
 /// Accumulated activation divergence at one tap site.
@@ -74,31 +75,31 @@ impl DivergenceReport {
         self.sites.iter().map(|s| s.max_abs).fold(0.0, f64::max)
     }
 
+    /// The report as a JSON value (for embedding in a larger artifact).
+    #[must_use]
+    pub fn json(&self) -> json::Value {
+        let sites = self.sites.iter().map(|s| {
+            json::line_obj([
+                ("path", (&s.path).into()),
+                ("elems", s.elems.into()),
+                ("max_abs", json::sci(s.max_abs, 9)),
+                ("mean_abs", json::sci(s.mean_abs, 9)),
+            ])
+        });
+        json::block_obj([
+            ("model", (&self.model).into()),
+            ("format", (&self.format).into()),
+            ("samples", self.samples.into()),
+            ("logits_max_abs", json::sci(self.logits_max_abs, 9)),
+            ("agreement", json::fixed(self.agreement, 6)),
+            ("sites", json::block_arr(sites)),
+        ])
+    }
+
     /// Serializes the report as deterministic, human-diffable JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"model\": {:?},\n", self.model));
-        out.push_str(&format!("  \"format\": {:?},\n", self.format));
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str(&format!(
-            "  \"logits_max_abs\": {:.9e},\n",
-            self.logits_max_abs
-        ));
-        out.push_str(&format!("  \"agreement\": {:.6},\n", self.agreement));
-        out.push_str("  \"sites\": [\n");
-        for (i, s) in self.sites.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"path\": {:?}, \"elems\": {}, \"max_abs\": {:.9e}, \"mean_abs\": {:.9e}}}{}\n",
-                s.path,
-                s.elems,
-                s.max_abs,
-                s.mean_abs,
-                if i + 1 < self.sites.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        self.json().into_document()
     }
 }
 

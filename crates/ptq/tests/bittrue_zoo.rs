@@ -7,7 +7,7 @@
 
 use mersit_core::{hardware_formats, table2_formats};
 use mersit_nn::models::{mobilenet_v3_t, vgg_t};
-use mersit_ptq::{calibrate, coverify, Executor, QuantPlan};
+use mersit_ptq::{calibrate, coverify, DivergenceReport, Executor, QuantPlan, SiteDivergence};
 use mersit_tensor::{Rng, Tensor};
 
 #[test]
@@ -113,4 +113,33 @@ fn coverify_bounds_divergence_on_hardware_formats() {
         assert!(json.contains(&format!("{:?}", report.model)), "{name}");
         assert!(json.contains("\"agreement\""), "{name}");
     }
+}
+
+/// Site paths come from layer names: quotes and control characters must
+/// come out as JSON escapes, and non-finite statistics as `null`.
+#[test]
+fn divergence_json_escapes_hostile_site_paths() {
+    let report = DivergenceReport {
+        model: "m".into(),
+        format: "MERSIT(8,2)".into(),
+        samples: 1,
+        sites: vec![SiteDivergence {
+            path: "blk\"0\u{1b}conv".into(),
+            elems: 4,
+            max_abs: 0.5,
+            mean_abs: f64::NAN,
+        }],
+        logits_max_abs: f64::INFINITY,
+        agreement: 1.0,
+    };
+    let json = report.to_json();
+    assert!(
+        json.contains(r#"{"path": "blk\"0\u001bconv", "elems": 4, "max_abs": 5.000000000e-1, "mean_abs": null}"#),
+        "{json}"
+    );
+    assert!(json.contains("\"logits_max_abs\": null,"), "{json}");
+    assert!(
+        !json.contains('\u{1b}') && !json.contains(r"\u{1b}"),
+        "{json}"
+    );
 }

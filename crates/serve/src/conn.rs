@@ -1,7 +1,8 @@
 //! Per-connection state machine for the socket front door: partial-read
 //! framing, request decode + submission, out-of-order response write-back,
 //! and the two backpressure seams (read-buffer cap, write-buffer cap,
-//! plus *parking* a request the admission queue refused so TCP flow
+//! plus *holding* a request frame the admission queue refused: it stays
+//! unconsumed at the head of the read buffer and reads pause, so TCP flow
 //! control — not an error frame — pushes back on the client).
 //!
 //! A [`Conn`] never blocks: all socket I/O is `WouldBlock`-aware, and
@@ -16,16 +17,10 @@ use mersit_tensor::Tensor;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
-/// How many decoded-but-unadmitted requests a connection may hold. One:
-/// when the admission queue is full we stop decoding entirely, so the
-/// client's unread bytes stay in its socket and TCP backpressure does
-/// the rest.
-const PARK_LIMIT: usize = 1;
-
 /// What a connection wants from the next readiness poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Interest {
-    /// Poll for readability (there is buffer room and no parked work).
+    /// Poll for readability (there is buffer room and no held frame).
     pub read: bool,
     /// Poll for writability (buffered response bytes are waiting).
     pub write: bool,
@@ -39,7 +34,7 @@ pub(crate) struct ConnCounters {
     pub bytes_read: u64,
     /// Bytes written back.
     pub bytes_written: u64,
-    /// Request frames decoded.
+    /// Request frames consumed (a held frame counts once, when admitted).
     pub requests: u64,
     /// Response frames queued for write.
     pub responses: u64,
@@ -48,8 +43,8 @@ pub(crate) struct ConnCounters {
 }
 
 /// One accepted connection: socket, elastic read/write buffers, the
-/// in-flight tickets awaiting completion, and at most one parked
-/// (queue-refused) request.
+/// in-flight tickets awaiting completion, and whether the frame at the
+/// head of the read buffer is held (queue-refused).
 pub(crate) struct Conn {
     stream: TcpStream,
     read_buf: Vec<u8>,
@@ -58,8 +53,9 @@ pub(crate) struct Conn {
     write_pos: usize,
     /// Requests submitted to the server, awaiting their responses.
     in_flight: Vec<(u64, Ticket)>,
-    /// A decoded request the admission queue refused; retried every tick.
-    parked: Vec<(u64, Request)>,
+    /// The admission queue refused the request frame at the head of
+    /// `read_buf`; it is re-decoded and resubmitted every tick.
+    held: bool,
     /// No more reads: the peer sent EOF, a fatal protocol error fired, or
     /// the server is draining for shutdown.
     read_closed: bool,
@@ -81,7 +77,7 @@ impl Conn {
             write_buf: Vec::new(),
             write_pos: 0,
             in_flight: Vec::new(),
-            parked: Vec::new(),
+            held: false,
             read_closed: false,
             poisoned: false,
             counters: ConnCounters::default(),
@@ -96,13 +92,13 @@ impl Conn {
     }
 
     /// What to poll for next. Reading pauses (without erroring) while any
-    /// backpressure condition holds: a parked request, a full read
+    /// backpressure condition holds: a held frame, a full read
     /// buffer, or a write backlog past the cap.
     pub(crate) fn interest(&self, cfg: &NetConfig) -> Interest {
         let backlogged = self.write_buf.len() - self.write_pos >= cfg.write_buf;
         Interest {
             read: !self.read_closed
-                && self.parked.is_empty()
+                && !self.held
                 && self.read_buf.len() < cfg.read_buf
                 && !backlogged,
             write: self.write_pos < self.write_buf.len(),
@@ -111,19 +107,20 @@ impl Conn {
 
     /// True when there are tickets to poll for completion.
     pub(crate) fn has_in_flight(&self) -> bool {
-        !self.in_flight.is_empty() || !self.parked.is_empty()
+        !self.in_flight.is_empty() || self.held
     }
 
     /// True when this connection is over: nothing left to read, answer,
     /// or flush. The event loop drops it. Leftover `read_buf` bytes are
-    /// at most a partial trailing frame — once reads stopped it can
-    /// never complete, so it doesn't hold the connection open.
+    /// a held frame (which keeps the connection open) or at most a
+    /// partial trailing frame — once reads stopped that can never
+    /// complete, so it doesn't hold the connection open.
     pub(crate) fn finished(&self) -> bool {
         let flushed = self.write_pos >= self.write_buf.len();
         if self.poisoned {
             return flushed;
         }
-        self.read_closed && self.in_flight.is_empty() && self.parked.is_empty() && flushed
+        self.read_closed && self.in_flight.is_empty() && !self.held && flushed
     }
 
     /// Stops reading new requests (shutdown drain: in-flight work still
@@ -156,11 +153,12 @@ impl Conn {
     }
 
     /// Decodes and dispatches every complete frame in the read buffer,
-    /// stopping early under backpressure (a parked request). Call after
-    /// [`Conn::fill`] and once per tick to retry parked admissions.
+    /// stopping early under backpressure (a queue-refused frame stays in
+    /// the buffer, held). Call after [`Conn::fill`] and once per tick to
+    /// retry a held frame.
     pub(crate) fn process(&mut self, server: &Server, cfg: &NetConfig) {
-        self.retry_parked(server);
-        while self.parked.len() < PARK_LIMIT && !self.poisoned {
+        self.held = false;
+        while !self.poisoned {
             let outcome = {
                 let _span = mersit_obs::span("serve.net.frame.decode");
                 wire::decode_frame(&self.read_buf, cfg.read_buf)
@@ -168,8 +166,11 @@ impl Conn {
             match outcome {
                 Ok(None) => break,
                 Ok(Some((frame, used))) => {
+                    if !self.handle_frame(frame, server) {
+                        self.held = true;
+                        break;
+                    }
                     self.read_buf.drain(..used);
-                    self.handle_frame(frame, server);
                 }
                 Err(DecodeError::Malformed {
                     consumed,
@@ -191,13 +192,23 @@ impl Conn {
         }
     }
 
-    fn handle_frame(&mut self, frame: Frame, server: &Server) {
+    /// Acts on one decoded frame. A request goes to the in-process
+    /// server; on `QueueFull` this returns `false` and the caller holds
+    /// the frame for retry next tick instead of erroring — combined with
+    /// [`Conn::interest`] refusing to read while held, admission pressure
+    /// turns into TCP flow control the client feels as a slow socket, not
+    /// as failures. Other admission errors answer immediately with an
+    /// error frame.
+    fn handle_frame(&mut self, frame: Frame, server: &Server) -> bool {
         match frame {
             Frame::Request(req) => {
-                self.counters.requests += 1;
                 let id = req.id;
-                let request = build_request(req);
-                self.submit(id, request, server);
+                match server.submit(build_request(req)) {
+                    Ok(ticket) => self.in_flight.push((id, ticket)),
+                    Err(ServeError::QueueFull { .. }) => return false,
+                    Err(e) => self.push_error(id, wire::error_code(&e), &e.to_string()),
+                }
+                self.counters.requests += 1;
             }
             Frame::Ping(token) => {
                 wire::encode_pong(token, &mut self.write_buf);
@@ -214,26 +225,7 @@ impl Conn {
                 self.push_error(0, wire::ERR_MALFORMED, "unexpected pong frame");
             }
         }
-    }
-
-    /// Submits to the in-process server. `QueueFull` *parks* the request
-    /// for retry next tick instead of erroring — combined with
-    /// [`Conn::interest`] refusing to read while parked, admission
-    /// pressure turns into TCP flow control the client feels as a slow
-    /// socket, not as failures. Other admission errors answer
-    /// immediately with an error frame.
-    fn submit(&mut self, id: u64, request: Request, server: &Server) {
-        match server.submit(request.clone()) {
-            Ok(ticket) => self.in_flight.push((id, ticket)),
-            Err(ServeError::QueueFull { .. }) => self.parked.push((id, request)),
-            Err(e) => self.push_error(id, wire::error_code(&e), &e.to_string()),
-        }
-    }
-
-    fn retry_parked(&mut self, server: &Server) {
-        if let Some((id, request)) = self.parked.pop() {
-            self.submit(id, request, server);
-        }
+        true
     }
 
     /// Polls every in-flight ticket; completed ones become response (or

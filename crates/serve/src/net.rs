@@ -7,8 +7,8 @@
 //! the Rust standard library already links; no external crates). Each
 //! iteration:
 //!
-//! 1. retries parked (queue-refused) admissions and decodes any complete
-//!    frames already buffered,
+//! 1. re-decodes and resubmits any held (queue-refused) request frame,
+//!    then decodes any complete frames already buffered,
 //! 2. polls completed [`crate::Ticket`]s and turns them into response
 //!    frames (the batcher thread never blocks on a slow client — the
 //!    ticket channel decouples it),
@@ -24,9 +24,9 @@
 //!   the batcher to the event loop over the per-request ticket channel;
 //!   a client that stops reading only ever stalls *its own* connection
 //!   (write-buffer cap → reads pause → TCP backpressure).
-//! * **Admission conservation extends to the wire.** Every decoded
-//!   request frame is answered by exactly one response or error frame,
-//!   unless its connection died first — in which case the in-process
+//! * **Admission conservation extends to the wire.** Every request
+//!   frame is answered by exactly one response or error frame (a held
+//!   frame only once it is admitted), unless its connection died first — in which case the in-process
 //!   server still completes the work and the response is discarded with
 //!   the connection (`submitted == completed + failed` server-side,
 //!   pinned by `tests/net_e2e.rs` across mid-flight disconnects).
@@ -134,7 +134,7 @@ pub struct NetStats {
     pub accepted: u64,
     /// Connections closed (gracefully or on error).
     pub closed: u64,
-    /// Request frames decoded.
+    /// Request frames consumed (a held frame counts once).
     pub requests: u64,
     /// Response frames written toward clients.
     pub responses: u64,
@@ -233,7 +233,7 @@ fn event_loop(
                 c.begin_drain();
             }
         }
-        // Phase 1: make progress on buffered bytes and parked work, then
+        // Phase 1: make progress on buffered bytes and held frames, then
         // poll tickets so finished inference becomes response frames.
         let mut in_flight = false;
         for c in &mut conns {

@@ -320,7 +320,7 @@ impl Server {
         };
         let mut lifted = vec![1usize];
         lifted.extend_from_slice(req.input.shape());
-        let input = Tensor::from_vec(req.input.data().to_vec(), &lifted);
+        let input = req.input.reshape(&lifted);
         let (tx, rx) = mpsc::channel();
         let pending = Pending {
             key,

@@ -47,7 +47,7 @@ pub const FRAME_PING: u8 = 0x04;
 pub const FRAME_PONG: u8 = 0x05;
 
 /// Error code: admission queue full (reserved — the reference server
-/// prefers parking + TCP backpressure over emitting this, see
+/// prefers holding the frame + TCP backpressure over emitting this, see
 /// `PROTOCOL.md` §5).
 pub const ERR_QUEUE_FULL: u16 = 1;
 /// Error code: no model with the requested name is loaded.
